@@ -25,14 +25,11 @@ from .graph import (
 from .losses import (
     LossBreakdown,
     collapse_reg,
-    dmon_loss,
     evaluate_objective,
     gamma_reg,
     mincut_loss,
     ortho_reg,
-    pmn_total,
     potts_loss,
-    potts_loss_grads,
 )
 from .metrics import (
     MetricsReport,
@@ -70,11 +67,8 @@ __all__ = [
     "softmax_rows",
     "LossBreakdown",
     "potts_loss",
-    "potts_loss_grads",
     "collapse_reg",
     "gamma_reg",
-    "pmn_total",
-    "dmon_loss",
     "mincut_loss",
     "ortho_reg",
     "evaluate_objective",

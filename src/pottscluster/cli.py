@@ -6,8 +6,9 @@
     pottscluster gen ring-of-cliques --cliques C --size S --out DIR
     pottscluster gen sbm --sizes A,B,... --p-in P --p-out Q [--seed S] --out DIR
 
-Exit codes: 0 success, 2 usage or config error, 3 dataset error, 4 training
-diverged. Set POTTSCLUSTER_VERBOSE=1 for progress messages on stderr.
+Exit codes: 0 success, 2 usage or config error, 3 dataset error (a dataset
+without edges included), 4 training diverged. Set POTTSCLUSTER_VERBOSE=1 for
+progress messages on stderr.
 """
 from __future__ import annotations
 
@@ -21,10 +22,11 @@ import numpy as np
 
 from .dataset import (
     DatasetFormatError,
-    _write_atomic,
+    load_assignment,
     load_dataset,
     one_hot_degree_features,
     save_dataset,
+    write_atomic,
 )
 from .graph import Graph, ring_of_cliques, sbm
 from .metrics import MetricsReport, evaluate_partition, hard_assign
@@ -61,6 +63,14 @@ def _load_config(path: str | None) -> TrainConfig:
     return TrainConfig.from_dict(raw)
 
 
+def _load_graph_dataset(path: str):
+    """load_dataset, rejecting a graph without edges: the objectives and modularity need one."""
+    g, x, labels = load_dataset(path)
+    if g.m == 0:
+        raise DatasetFormatError(f"dataset {path} has no edges")
+    return g, x, labels
+
+
 def _report_dict(report: MetricsReport) -> dict:
     return {
         "modularity": report.modularity,
@@ -75,7 +85,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.seeds < 1:
         raise ValueError(f"--seeds must be positive, got {args.seeds}")
-    g, x, labels = load_dataset(args.data)
+    g, x, labels = _load_graph_dataset(args.data)
     _log(f"loaded {args.data}: n={g.n}, m={g.m}, features={x.shape[1]}")
 
     sweep = run_seeds(g, x, config, args.seeds, labels)
@@ -92,11 +102,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"{r.epoch},{r.total:.17g},{r.potts:.17g},{r.collapse:.17g},"
             f"{r.gamma_reg:.17g},{r.gamma:.17g}"
         )
-    _write_atomic(out / "trace.csv", "\n".join(rows) + "\n")
+    write_atomic(out / "trace.csv", "\n".join(rows) + "\n")
 
     pred = hard_assign(base.trace.final_assignment)
     assign_lines = [f"{i}\t{int(c)}" for i, c in enumerate(pred)]
-    _write_atomic(out / "assignment.tsv", "\n".join(assign_lines) + "\n")
+    write_atomic(out / "assignment.tsv", "\n".join(assign_lines) + "\n")
 
     per_seed = []
     for run in sweep.runs:
@@ -110,46 +120,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "per_seed": per_seed,
         "aggregate": {"mean": sweep.mean, "std": sweep.std},
     }
-    _write_atomic(out / "metrics.json", json.dumps(payload, indent=2) + "\n")
+    write_atomic(out / "metrics.json", json.dumps(payload, indent=2) + "\n")
     _log(f"wrote trace.csv, assignment.tsv, metrics.json to {out}")
     return EXIT_OK
 
 
-def _read_assignment(path: str, n: int) -> np.ndarray:
-    pred = np.full(n, -1, dtype=np.int64)
-    name = Path(path).name
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read assignment file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DatasetFormatError(f"{name}:{lineno}: expected 2 tab-separated fields")
-            try:
-                node, cluster = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise DatasetFormatError(f"{name}:{lineno}: non-integer field") from None
-            if not 0 <= node < n:
-                raise DatasetFormatError(f"{name}:{lineno}: node id {node} out of range for n={n}")
-            if cluster < 0:
-                raise DatasetFormatError(f"{name}:{lineno}: negative cluster id {cluster}")
-            if pred[node] != -1:
-                raise DatasetFormatError(f"{name}:{lineno}: duplicate entry for node {node}")
-            pred[node] = cluster
-    missing = np.flatnonzero(pred == -1)
-    if missing.size:
-        raise DatasetFormatError(f"{name}: no cluster for node {int(missing[0])}")
-    return pred
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    g, _, labels = load_dataset(args.data)
-    pred = _read_assignment(args.assignment, g.n)
+    g, _, labels = _load_graph_dataset(args.data)
+    pred = load_assignment(args.assignment, g.n)
     report = evaluate_partition(g, pred, labels)
     print(json.dumps(_report_dict(report), indent=2))
     return EXIT_OK

@@ -6,6 +6,9 @@
     features.tsv   node<TAB>feature<TAB>value sparse triplets
     labels.tsv     node<TAB>label, one line per node (file optional)
 
+An assignment file, as ``pottscluster train`` writes and ``eval`` reads,
+has the labels.tsv layout with a cluster id in place of the label.
+
 The format is deliberately plain so converters from public benchmark
 archives can be written in any language.
 """
@@ -22,8 +25,10 @@ from .graph import Graph, from_edge_list
 __all__ = [
     "DatasetFormatError",
     "load_dataset",
+    "load_assignment",
     "save_dataset",
     "one_hot_degree_features",
+    "write_atomic",
 ]
 
 
@@ -44,16 +49,23 @@ def _parse_int(name: str, lineno: int, token: str, what: str) -> int:
 
 
 def _iter_rows(path: Path, expected_fields: int):
-    """Yield (lineno, fields) for each non-blank line, enforcing field count."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != expected_fields:
-                _fail(path.name, lineno, f"expected {expected_fields} tab-separated fields, got {len(fields)}")
-            yield lineno, fields
+    """Yield (lineno, fields) for each non-blank line, enforcing field count.
+
+    A file that cannot be opened or is not UTF-8 raises DatasetFormatError
+    naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != expected_fields:
+                    _fail(path.name, lineno, f"expected {expected_fields} tab-separated fields, got {len(fields)}")
+                yield lineno, fields
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_meta(path: Path) -> tuple[int, int, int]:
@@ -61,6 +73,8 @@ def _load_meta(path: Path) -> tuple[int, int, int]:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"meta.json: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DatasetFormatError("meta.json: top level must be an object")
     out = []
@@ -142,7 +156,28 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, np.ndarray, np.ndarray
     return g, x, labels
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
+    """Read a node<TAB>cluster file covering nodes 0..n-1 into a cluster id array."""
+    path = Path(path)
+    pred = np.full(n, -1, dtype=np.int64)
+    for lineno, fields in _iter_rows(path, 2):
+        node = _parse_int(path.name, lineno, fields[0], "node id")
+        cluster = _parse_int(path.name, lineno, fields[1], "cluster id")
+        if not 0 <= node < n:
+            _fail(path.name, lineno, f"node id {node} out of range for n={n}")
+        if cluster < 0:
+            _fail(path.name, lineno, f"negative cluster id {cluster}")
+        if pred[node] != -1:
+            _fail(path.name, lineno, f"duplicate entry for node {node}")
+        pred[node] = cluster
+    missing = np.flatnonzero(pred == -1)
+    if missing.size:
+        raise DatasetFormatError(f"{path.name}: no cluster for node {int(missing[0])}")
+    return pred
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -182,20 +217,20 @@ def save_dataset(
     root.mkdir(parents=True, exist_ok=True)
 
     meta = {"n": g.n, "num_features": int(x.shape[1]), "num_classes": int(num_classes)}
-    _write_atomic(root / "meta.json", json.dumps(meta, indent=2) + "\n")
+    write_atomic(root / "meta.json", json.dumps(meta, indent=2) + "\n")
 
     src = g.arc_sources()
     keep = src < g.col_idx
     edge_lines = [f"{u}\t{v}" for u, v in zip(src[keep], g.col_idx[keep])]
-    _write_atomic(root / "edges.tsv", "\n".join(edge_lines) + ("\n" if edge_lines else ""))
+    write_atomic(root / "edges.tsv", "\n".join(edge_lines) + ("\n" if edge_lines else ""))
 
     rows, cols = np.nonzero(x)
     feat_lines = [f"{r}\t{c}\t{x[r, c]:.17g}" for r, c in zip(rows, cols)]
-    _write_atomic(root / "features.tsv", "\n".join(feat_lines) + ("\n" if feat_lines else ""))
+    write_atomic(root / "features.tsv", "\n".join(feat_lines) + ("\n" if feat_lines else ""))
 
     if labels is not None:
         label_lines = [f"{i}\t{int(lab)}" for i, lab in enumerate(labels)]
-        _write_atomic(root / "labels.tsv", "\n".join(label_lines) + "\n")
+        write_atomic(root / "labels.tsv", "\n".join(label_lines) + "\n")
 
 
 def one_hot_degree_features(g: Graph) -> np.ndarray:

@@ -23,17 +23,10 @@ from .graph import Graph, spmm
 __all__ = [
     "LossBreakdown",
     "potts_loss",
-    "potts_loss_grads",
     "collapse_reg",
-    "collapse_reg_grad",
     "gamma_reg",
-    "gamma_reg_grad",
-    "pmn_total",
-    "dmon_loss",
     "mincut_loss",
-    "mincut_loss_grad",
     "ortho_reg",
-    "ortho_reg_grad",
     "evaluate_objective",
     "LOSS_KINDS",
     "COLLAPSE_SCALINGS",
@@ -47,7 +40,7 @@ COLLAPSE_SCALINGS = ("sqrtk_over_n", "k_over_sqrtn")
 class LossBreakdown:
     """One objective evaluation split into its terms.
 
-    ``total == w_potts*potts + w_collapse*collapse + w_gamma*gamma_reg`` by
+    ``total == potts + w_collapse*collapse + w_gamma*gamma_reg`` by
     construction. For the mincut_ortho objective the ``potts`` slot carries
     the cut ratio and ``collapse`` the orthogonality penalty.
     """
@@ -56,35 +49,25 @@ class LossBreakdown:
     collapse: float
     gamma_reg: float
     total: float
-    w_potts: float
-    w_collapse: float
-    w_gamma: float
 
 
-def _potts_parts(g: Graph, c: np.ndarray, gamma: float):
+def potts_loss(g: Graph, c: np.ndarray, gamma: float):
+    """Potts Hamiltonian of soft assignment ``c`` at resolution ``gamma``.
+
+    Returns (value, dL/dC, dL/dgamma).
+    """
     if g.m < 1:
         raise ValueError("Potts objective is undefined on an edgeless graph (m=0)")
     c = np.asarray(c, dtype=np.float64)
     ac = spmm(g, c)
     trace = float(np.sum(c * ac))  # Tr(C^T A C)
-    vol = g.degrees.astype(np.float64) @ c  # d^T C, one entry per cluster
+    deg = g.degrees.astype(np.float64)
+    vol = deg @ c  # d^T C, one entry per cluster
     vol_sq = float(vol @ vol)
     two_m = 2.0 * g.m
     value = -(trace - gamma / two_m * vol_sq) / two_m
-    return value, ac, vol, vol_sq, two_m
-
-
-def potts_loss(g: Graph, c: np.ndarray, gamma: float) -> float:
-    """Potts Hamiltonian of soft assignment ``c`` at resolution ``gamma``."""
-    return _potts_parts(g, c, gamma)[0]
-
-
-def potts_loss_grads(g: Graph, c: np.ndarray, gamma: float):
-    """Return (value, dL/dC, dL/dgamma) of the Potts Hamiltonian."""
-    value, ac, vol, vol_sq, two_m = _potts_parts(g, c, gamma)
-    d_c = -(ac - (gamma / two_m) * np.outer(g.degrees.astype(np.float64), vol)) / g.m
-    d_gamma = vol_sq / (two_m * two_m)
-    return value, d_c, d_gamma
+    d_c = -(ac - (gamma / two_m) * np.outer(deg, vol)) / g.m
+    return value, d_c, vol_sq / (two_m * two_m)
 
 
 def _collapse_factor(n: int, k: int, scaling: str) -> float:
@@ -95,53 +78,35 @@ def _collapse_factor(n: int, k: int, scaling: str) -> float:
     raise ValueError(f"unknown collapse scaling {scaling!r}, expected one of {COLLAPSE_SCALINGS}")
 
 
-def collapse_reg(c: np.ndarray, scaling: str = "sqrtk_over_n") -> float:
+def collapse_reg(c: np.ndarray, scaling: str = "sqrtk_over_n"):
     """Penalty on concentrated cluster mass: factor * ||column sums of C|| - 1.
 
     The default sqrt(k)/n factor is zero for perfectly balanced columns and
     sqrt(k)-1 when all mass falls into one cluster; k/sqrt(n) is the
-    alternative scaling selectable via config.
+    alternative scaling selectable via config. Returns (value, dL/dC); every
+    row of the gradient is the same, so it is a read-only broadcast view.
     """
     c = np.asarray(c, dtype=np.float64)
     n, k = c.shape
-    s = c.sum(axis=0)
-    return _collapse_factor(n, k, scaling) * float(np.linalg.norm(s)) - 1.0
-
-
-def collapse_reg_grad(c: np.ndarray, scaling: str = "sqrtk_over_n") -> np.ndarray:
-    c = np.asarray(c, dtype=np.float64)
-    n, k = c.shape
+    factor = _collapse_factor(n, k, scaling)
     s = c.sum(axis=0)
     nrm = float(np.linalg.norm(s))
-    if nrm == 0.0:
-        return np.zeros_like(c)
-    row = _collapse_factor(n, k, scaling) * s / nrm
-    return np.tile(row, (n, 1))
+    row = factor * s / nrm if nrm != 0.0 else np.zeros(k)
+    return factor * nrm - 1.0, np.broadcast_to(row, c.shape)
 
 
-def gamma_reg(gamma: float, gamma_max: float) -> float:
-    """|gamma - gamma_max|; nudges the resolution toward its ceiling."""
+def gamma_reg(gamma: float, gamma_max: float):
+    """|gamma - gamma_max|; nudges the resolution toward its ceiling.
+
+    Returns (value, dL/dgamma), with subgradient 0 at gamma == gamma_max.
+    """
     if gamma_max <= 0:
         raise ValueError(f"gamma_max must be positive, got {gamma_max}")
-    return abs(gamma - gamma_max)
+    return abs(gamma - gamma_max), float(np.sign(gamma - gamma_max))
 
 
-def gamma_reg_grad(gamma: float, gamma_max: float) -> float:
-    # subgradient 0 at gamma == gamma_max
-    return float(np.sign(gamma - gamma_max))
-
-
-def dmon_loss(g: Graph, c: np.ndarray) -> float:
-    """Modularity-style baseline: the Potts Hamiltonian with gamma fixed at 1."""
-    return potts_loss(g, c, 1.0)
-
-
-def mincut_loss(g: Graph, c: np.ndarray) -> float:
-    """Normalized-cut relaxation: -Tr(C^T A C) / Tr(C^T D C)."""
-    return _mincut_parts(g, c)[0]
-
-
-def _mincut_parts(g: Graph, c: np.ndarray):
+def mincut_loss(g: Graph, c: np.ndarray):
+    """Normalized-cut relaxation -Tr(C^T A C) / Tr(C^T D C); returns (value, dL/dC)."""
     if g.m < 1:
         raise ValueError("min-cut objective needs at least one edge")
     c = np.asarray(c, dtype=np.float64)
@@ -151,30 +116,16 @@ def _mincut_parts(g: Graph, c: np.ndarray):
     den = float(deg @ (c * c).sum(axis=1))
     if den == 0.0:
         raise ValueError("degree-weighted denominator Tr(C^T D C) is zero")
-    return -num / den, ac, num, deg, den
-
-
-def mincut_loss_grad(g: Graph, c: np.ndarray):
-    """Return (value, dL/dC) of the normalized-cut loss."""
-    value, ac, num, deg, den = _mincut_parts(g, c)
     d_num = 2.0 * ac
     d_den = 2.0 * deg[:, None] * c
-    d_c = (num * d_den - den * d_num) / (den * den)
-    return value, d_c
+    return -num / den, (num * d_den - den * d_num) / (den * den)
 
 
-def ortho_reg(c: np.ndarray) -> float:
-    """Distance of C^T C (Frobenius-normalized) from the balanced target I/sqrt(k)."""
-    c = np.asarray(c, dtype=np.float64)
-    k = c.shape[1]
-    s = c.T @ c
-    f = float(np.linalg.norm(s))
-    t = s / f - np.eye(k) / sqrt(k)
-    return float(np.linalg.norm(t))
+def ortho_reg(c: np.ndarray):
+    """Distance of C^T C (Frobenius-normalized) from the balanced target I/sqrt(k).
 
-
-def ortho_reg_grad(c: np.ndarray):
-    """Return (value, dL/dC) of the orthogonality penalty."""
+    Returns (value, dL/dC).
+    """
     c = np.asarray(c, dtype=np.float64)
     k = c.shape[1]
     s = c.T @ c
@@ -188,81 +139,41 @@ def ortho_reg_grad(c: np.ndarray):
     return value, 2.0 * c @ d_s
 
 
-def pmn_total(
-    g: Graph,
-    c: np.ndarray,
-    gamma: float,
-    *,
-    w_potts: float = 1.0,
-    w_collapse: float = 1.0,
-    w_gamma: float = 0.01,
-    gamma_max: float = 5.0,
-    collapse_scaling: str = "sqrtk_over_n",
-) -> LossBreakdown:
-    """Aggregate Potts objective: Hamiltonian + collapse + gamma regularization."""
-    return evaluate_objective(
-        g,
-        c,
-        gamma,
-        "potts",
-        w_potts=w_potts,
-        w_collapse=w_collapse,
-        w_gamma=w_gamma,
-        gamma_max=gamma_max,
-        collapse_scaling=collapse_scaling,
-    )
-
-
 def evaluate_objective(
     g: Graph,
     c: np.ndarray,
     gamma: float,
     kind: str,
     *,
-    w_potts: float = 1.0,
     w_collapse: float = 1.0,
     w_gamma: float = 0.01,
     gamma_max: float = 5.0,
     collapse_scaling: str = "sqrtk_over_n",
-    with_grads: bool = False,
 ):
     """Evaluate one of the training objectives on (g, C, gamma).
 
-    Returns a LossBreakdown, or (LossBreakdown, dL/dC, dL/dgamma) when
-    ``with_grads`` is set. The dmon and mincut_ortho objectives do not
-    depend on gamma, so their gamma gradient and gamma_reg term are zero.
+    Returns (LossBreakdown, dL/dC, dL/dgamma). The dmon and mincut_ortho
+    objectives do not depend on gamma, so their gamma gradient and
+    gamma_reg term are zero.
     """
     if kind == "potts":
-        structural, d_c_s, d_g_s = potts_loss_grads(g, c, gamma)
-        reg = collapse_reg(c, collapse_scaling)
-        d_c_r = collapse_reg_grad(c, collapse_scaling) if with_grads else None
-        g_term = gamma_reg(gamma, gamma_max)
-        d_gamma = d_g_s * w_potts + w_gamma * gamma_reg_grad(gamma, gamma_max)
+        structural, d_c_s, d_gamma = potts_loss(g, c, gamma)
+        reg, d_c_r = collapse_reg(c, collapse_scaling)
+        g_term, d_g_r = gamma_reg(gamma, gamma_max)
+        d_gamma += w_gamma * d_g_r
     elif kind == "dmon":
-        structural, d_c_s, _ = potts_loss_grads(g, c, 1.0)
-        reg = collapse_reg(c, collapse_scaling)
-        d_c_r = collapse_reg_grad(c, collapse_scaling) if with_grads else None
-        g_term = 0.0
-        d_gamma = 0.0
+        structural, d_c_s, _ = potts_loss(g, c, 1.0)
+        reg, d_c_r = collapse_reg(c, collapse_scaling)
+        g_term = d_gamma = 0.0
     elif kind == "mincut_ortho":
-        structural, d_c_s = mincut_loss_grad(g, c)
-        reg, d_c_r = ortho_reg_grad(c)
-        g_term = 0.0
-        d_gamma = 0.0
+        structural, d_c_s = mincut_loss(g, c)
+        reg, d_c_r = ortho_reg(c)
+        g_term = d_gamma = 0.0
     else:
         raise ValueError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
 
-    total = w_potts * structural + w_collapse * reg + w_gamma * g_term
+    total = structural + w_collapse * reg + w_gamma * g_term
     breakdown = LossBreakdown(
-        potts=float(structural),
-        collapse=float(reg),
-        gamma_reg=float(g_term),
-        total=float(total),
-        w_potts=w_potts,
-        w_collapse=w_collapse,
-        w_gamma=w_gamma,
+        potts=float(structural), collapse=float(reg), gamma_reg=float(g_term), total=float(total)
     )
-    if not with_grads:
-        return breakdown
-    d_c = w_potts * d_c_s + w_collapse * d_c_r
-    return breakdown, d_c, float(d_gamma)
+    return breakdown, d_c_s + w_collapse * d_c_r, float(d_gamma)

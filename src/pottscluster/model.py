@@ -17,7 +17,6 @@ __all__ = [
     "SELU_LAMBDA",
     "SELU_ALPHA",
     "ModelParams",
-    "GradientBundle",
     "ForwardCache",
     "selu",
     "selu_grad",
@@ -30,27 +29,25 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 
-@dataclass
 class ModelParams:
-    """Encoder weights plus the trainable resolution scalar gamma.
+    """Encoder weights plus the trainable resolution scalar gamma, in one vector.
 
-    w, w_skip: (l, h); w_out: (h, k); gamma >= 0 (clamped after updates).
+    ``flat`` is a float64 vector holding w and w_skip (l, h), then w_out
+    (h, k), each row-major, then gamma as its last entry. The three matrices
+    are views into ``flat``, so writing either one writes the other. A new
+    instance is all zeros; gamma >= 0 is kept by clamping after updates. A
+    gradient has the same layout, with dL/dgamma in the last entry.
     """
 
-    w: np.ndarray
-    w_skip: np.ndarray
-    w_out: np.ndarray
-    gamma: float
+    def __init__(self, l: int, h: int, k: int):
+        self.flat = np.zeros(2 * l * h + h * k + 1)
+        self.w = self.flat[: l * h].reshape(l, h)
+        self.w_skip = self.flat[l * h : 2 * l * h].reshape(l, h)
+        self.w_out = self.flat[2 * l * h : -1].reshape(h, k)
 
-
-@dataclass
-class GradientBundle:
-    """Gradients of the training objective, one slot per ModelParams field."""
-
-    d_w: np.ndarray
-    d_w_skip: np.ndarray
-    d_w_out: np.ndarray
-    d_gamma: float
+    @property
+    def gamma(self) -> float:
+        return float(self.flat[-1])
 
 
 @dataclass
@@ -99,12 +96,8 @@ def forward(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != abar.n:
         raise ValueError(f"features must be ({abar.n}, l), got {x.shape}")
-    l, h = params.w.shape
-    if x.shape[1] != l or params.w_skip.shape != (l, h) or params.w_out.shape[0] != h:
-        raise ValueError(
-            f"inconsistent shapes: x {x.shape}, w {params.w.shape}, "
-            f"w_skip {params.w_skip.shape}, w_out {params.w_out.shape}"
-        )
+    if x.shape[1] != params.w.shape[0]:
+        raise ValueError(f"features have {x.shape[1]} columns, w has {params.w.shape[0]} rows")
     x_used = x if dropout_mask is None else x * dropout_mask
     h_pre = spmm(abar, x_used @ params.w) + x_used @ params.w_skip
     h_act = selu(h_pre)
@@ -114,10 +107,11 @@ def forward(
     return c, cache
 
 
-def backward(cache: ForwardCache, d_c: np.ndarray, d_gamma: float) -> GradientBundle:
-    """Chain upstream gradients (d_c wrt C, d_gamma wrt gamma) back to the weights.
+def backward(cache: ForwardCache, d_c: np.ndarray, d_gamma: float) -> ModelParams:
+    """Chain upstream gradients (d_c wrt C, d_gamma wrt gamma) back to the parameters.
 
-    gamma does not enter the forward pass, so its gradient passes through.
+    The result has the ModelParams layout. gamma does not enter the forward
+    pass, so its gradient passes through.
     """
     d_c = np.asarray(d_c, dtype=np.float64)
     if d_c.shape != cache.c.shape:
@@ -125,11 +119,13 @@ def backward(cache: ForwardCache, d_c: np.ndarray, d_gamma: float) -> GradientBu
     # softmax rows: d_logits = C * (dC - rowsum(dC * C))
     inner = (d_c * cache.c).sum(axis=1, keepdims=True)
     d_logits = cache.c * (d_c - inner)
-    d_w_out = cache.h.T @ d_logits
+    grad = ModelParams(cache.x_used.shape[1], *cache.w_out.shape)
+    np.matmul(cache.h.T, d_logits, out=grad.w_out)
     d_h = d_logits @ cache.w_out.T
     d_h_pre = d_h * selu_grad(cache.h_pre)
     # h_pre = Abar (X W) + X W_skip with Abar symmetric
     back_prop = spmm(cache.abar, d_h_pre)
-    d_w = cache.x_used.T @ back_prop
-    d_w_skip = cache.x_used.T @ d_h_pre
-    return GradientBundle(d_w=d_w, d_w_skip=d_w_skip, d_w_out=d_w_out, d_gamma=float(d_gamma))
+    np.matmul(cache.x_used.T, back_prop, out=grad.w)
+    np.matmul(cache.x_used.T, d_h_pre, out=grad.w_skip)
+    grad.flat[-1] = d_gamma
+    return grad

@@ -4,12 +4,14 @@
 A run is a pure function of (graph, features, config): weight init draws
 from ``default_rng(seed)`` and the dropout stream from
 ``default_rng([seed, 1])``, so repeating a run reproduces every float bit
-for bit. Optimization is plain Adam over the three weight matrices plus the
-scalar resolution gamma, which is clamped to [0, gamma_max] after each step.
+for bit. Optimization is plain Adam over one vector holding the three weight
+matrices and the scalar resolution gamma, which is clamped to
+[0, gamma_max] after each step.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,6 +41,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# accepted value types per TrainConfig annotation; bool is rejected separately
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run."""
@@ -57,6 +63,13 @@ class TrainConfig:
     collapse_scaling: str = "sqrtk_over_n"
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # no coercion: metrics.json echoes each value as given
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k < 2:
@@ -131,93 +144,52 @@ class RunTrace:
         return self.final_params.gamma
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """First/second moment accumulators for every trainable slot."""
+    """First/second moment accumulators over the flat parameter vector, and the step count."""
 
-    m_w: np.ndarray
-    v_w: np.ndarray
-    m_skip: np.ndarray
-    v_skip: np.ndarray
-    m_out: np.ndarray
-    v_out: np.ndarray
-    m_gamma: float
-    v_gamma: float
-    t: int
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m_w=np.zeros_like(params.w),
-            v_w=np.zeros_like(params.w),
-            m_skip=np.zeros_like(params.w_skip),
-            v_skip=np.zeros_like(params.w_skip),
-            m_out=np.zeros_like(params.w_out),
-            v_out=np.zeros_like(params.w_out),
-            m_gamma=0.0,
-            v_gamma=0.0,
-            t=0,
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def init_params(num_features: int, config: TrainConfig) -> ModelParams:
     """Standard-normal weight init; draw order is w, w_skip, w_out."""
     rng = np.random.default_rng(config.seed)
-    w = rng.standard_normal((num_features, config.hidden))
-    w_skip = rng.standard_normal((num_features, config.hidden))
-    w_out = rng.standard_normal((config.hidden, config.k))
-    return ModelParams(w=w, w_skip=w_skip, w_out=w_out, gamma=config.gamma_init)
-
-
-def _adam_slot(value, grad, m, v, t: int, lr: float):
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
+    params = ModelParams(num_features, config.hidden, config.k)
+    for view in (params.w, params.w_skip, params.w_out):
+        view[...] = rng.standard_normal(view.shape)
+    params.flat[-1] = config.gamma_init
+    return params
 
 
 def adam_step(
     params: ModelParams,
-    grads,
+    grads: ModelParams,
     state: AdamState,
     learning_rate: float,
     gamma_max: float,
-) -> tuple[ModelParams, AdamState]:
-    """One Adam update over all parameter slots; gamma is clamped to [0, gamma_max]."""
-    t = state.t + 1
-    w, m_w, v_w = _adam_slot(params.w, grads.d_w, state.m_w, state.v_w, t, learning_rate)
-    w_skip, m_s, v_s = _adam_slot(
-        params.w_skip, grads.d_w_skip, state.m_skip, state.v_skip, t, learning_rate
-    )
-    w_out, m_o, v_o = _adam_slot(
-        params.w_out, grads.d_w_out, state.m_out, state.v_out, t, learning_rate
-    )
-    gamma, m_g, v_g = _adam_slot(
-        params.gamma, grads.d_gamma, state.m_gamma, state.v_gamma, t, learning_rate
-    )
-    gamma = float(min(max(gamma, 0.0), gamma_max))
-    new_params = ModelParams(w=w, w_skip=w_skip, w_out=w_out, gamma=gamma)
-    new_state = AdamState(
-        m_w=m_w, v_w=v_w, m_skip=m_s, v_skip=v_s, m_out=m_o, v_out=v_o,
-        m_gamma=float(m_g), v_gamma=float(v_g), t=t,
-    )
-    return new_params, new_state
+) -> None:
+    """One Adam update of ``params`` and ``state`` in place, then gamma clamped to [0, gamma_max].
 
-
-def _objective(g: Graph, c: np.ndarray, gamma: float, config: TrainConfig, with_grads: bool):
-    return evaluate_objective(
-        g,
-        c,
-        gamma,
-        config.loss,
-        w_potts=1.0,
-        w_collapse=config.w_collapse,
-        w_gamma=config.w_gamma,
-        gamma_max=config.gamma_max,
-        collapse_scaling=config.collapse_scaling,
-        with_grads=with_grads,
-    )
+    Each element goes through the textbook per-parameter operations in the
+    textbook order, so the result is bitwise equal to updating every weight
+    matrix and gamma on its own.
+    """
+    state.t += 1
+    m, v, g = state.m, state.v, grads.flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    denom = np.sqrt(v / (1.0 - ADAM_BETA2**state.t))
+    denom += ADAM_EPS
+    params.flat -= learning_rate * (m / (1.0 - ADAM_BETA1**state.t)) / denom
+    params.flat[-1] = min(max(params.flat[-1], 0.0), gamma_max)
 
 
 def train(g: Graph, x: np.ndarray, config: TrainConfig) -> RunTrace:
@@ -235,12 +207,18 @@ def train(g: Graph, x: np.ndarray, config: TrainConfig) -> RunTrace:
     params = init_params(x.shape[1], config)
     if config.loss == "dmon":
         # the baseline pins the resolution at 1; its gamma gradient is zero
-        params = dataclasses.replace(params, gamma=1.0)
+        params.flat[-1] = 1.0
     state = AdamState.zeros(params)
     dropout_rng = np.random.default_rng([config.seed, 1])
+    objective_kw = dict(
+        w_collapse=config.w_collapse,
+        w_gamma=config.w_gamma,
+        gamma_max=config.gamma_max,
+        collapse_scaling=config.collapse_scaling,
+    )
 
     c0, _ = forward(abar, x, params)
-    first = _objective(g, c0, params.gamma, config, with_grads=False)
+    first, _, _ = evaluate_objective(g, c0, params.gamma, config.loss, **objective_kw)
     records = [
         EpochRecord(
             epoch=0,
@@ -261,11 +239,13 @@ def train(g: Graph, x: np.ndarray, config: TrainConfig) -> RunTrace:
                 dropout_rng.random(x.shape) < config.dropout_keep
             ).astype(np.float64) / config.dropout_keep
         c, cache = forward(abar, x, params, dropout_mask=mask)
-        breakdown, d_c, d_gamma = _objective(g, c, params.gamma, config, with_grads=True)
+        breakdown, d_c, d_gamma = evaluate_objective(
+            g, c, params.gamma, config.loss, **objective_kw
+        )
         if not np.isfinite(breakdown.total):
             raise TrainDivergedError(epoch, breakdown)
         grads = backward(cache, d_c, d_gamma)
-        params, state = adam_step(params, grads, state, config.learning_rate, config.gamma_max)
+        adam_step(params, grads, state, config.learning_rate, config.gamma_max)
         records.append(
             EpochRecord(
                 epoch=epoch,

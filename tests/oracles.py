@@ -128,6 +128,18 @@ def set_partitions(n: int):
             b[j] = nb
 
 
+def textbook_adam_slot(value, grad, m, v, t: int, lr: float):
+    """One Adam step for one parameter slot, written out as in Kingma & Ba (2015).
+
+    Returns (new value, new m, new v); beta1=0.9, beta2=0.999, eps=1e-8.
+    """
+    m = 0.9 * m + (1.0 - 0.9) * grad
+    v = 0.999 * v + (1.0 - 0.999) * grad * grad
+    m_hat = m / (1.0 - 0.9**t)
+    v_hat = v / (1.0 - 0.999**t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of scalar f at array x, entry by entry."""
     x = np.asarray(x, dtype=np.float64)

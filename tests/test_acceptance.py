@@ -1,7 +1,8 @@
 # tests/test_acceptance.py
 """End-to-end acceptance checks, one per release criterion.
 
-Each test prints a single PASS/FAIL/SKIP line; run with
+Each test prints a single PASS/FAIL/SKIP line (MISS for an accepted band
+miss in criterion 9); run with
 
     pytest tests/test_acceptance.py -s
 
@@ -11,7 +12,6 @@ them.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -48,7 +48,7 @@ from pottscluster import (
 from pottscluster.cli import main
 from pottscluster.dataset import adjacency_features
 from pottscluster.losses import evaluate_objective, potts_loss
-from pottscluster.model import backward, forward
+from pottscluster.model import ModelParams, backward, forward
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -78,43 +78,38 @@ def test_criterion_01_full_model_gradients():
         g = from_edge_list(random_edge_list(rng, n, 0.5), n)
         abar = normalized_adjacency(g)
         x = rng.standard_normal((n, l))
-        params = dataclasses.replace(
-            # keep gamma away from the clamp ends so the difference quotient is smooth
-            _random_params(rng, l, hidden, k),
-            gamma=float(rng.uniform(0.3, 4.7)),
-        )
+        params = _random_params(rng, l, hidden, k)
+        # keep gamma away from the clamp ends so the difference quotient is smooth
+        params.flat[-1] = rng.uniform(0.3, 4.7)
 
-        def total_with(**overrides) -> float:
-            p = dataclasses.replace(params, **overrides)
+        def total_with(name, value) -> float:
+            p = ModelParams(l, hidden, k)
+            p.flat[:] = params.flat
+            if name == "gamma":
+                p.flat[-1] = value
+            else:
+                getattr(p, name)[...] = value
             c_p, _ = forward(abar, x, p)
-            return evaluate_objective(g, c_p, p.gamma, "potts").total
+            return evaluate_objective(g, c_p, p.gamma, "potts")[0].total
 
         c, cache = forward(abar, x, params)
-        _, d_c, d_gamma = evaluate_objective(g, c, params.gamma, "potts", with_grads=True)
-        bundle = backward(cache, d_c, d_gamma)
-        for analytic, name in (
-            (bundle.d_w, "w"),
-            (bundle.d_w_skip, "w_skip"),
-            (bundle.d_w_out, "w_out"),
-        ):
+        _, d_c, d_gamma = evaluate_objective(g, c, params.gamma, "potts")
+        grad = backward(cache, d_c, d_gamma)
+        for name in ("w", "w_skip", "w_out"):
             numeric = fd_gradient(
-                lambda arr, f=name: total_with(**{f: arr}), getattr(params, name)
+                lambda arr, f=name: total_with(f, arr), getattr(params, name)
             )
-            worst = max(worst, max_rel_err(analytic, numeric))
-        fd_g = fd_scalar(lambda v: total_with(gamma=v), params.gamma)
-        worst = max(worst, max_rel_err(np.array([bundle.d_gamma]), np.array([fd_g])))
+            worst = max(worst, max_rel_err(getattr(grad, name), numeric))
+        fd_g = fd_scalar(lambda v: total_with("gamma", v), params.gamma)
+        worst = max(worst, max_rel_err(np.array([grad.gamma]), np.array([fd_g])))
     report(1, worst <= 1e-4, f"max relative gradient error {worst:.3g} over 20 instances")
 
 
 def _random_params(rng, l, hidden, k):
-    from pottscluster.model import ModelParams
-
-    return ModelParams(
-        w=rng.standard_normal((l, hidden)),
-        w_skip=rng.standard_normal((l, hidden)),
-        w_out=rng.standard_normal((hidden, k)),
-        gamma=1.0,
-    )
+    params = ModelParams(l, hidden, k)
+    for view in (params.w, params.w_skip, params.w_out):
+        view[...] = rng.standard_normal(view.shape)
+    return params
 
 
 def test_criterion_02_trace_form_matches_double_sum():
@@ -126,7 +121,7 @@ def test_criterion_02_trace_form_matches_double_sum():
         g = from_edge_list(random_edge_list(rng, n, 0.3), n)
         c = random_row_stochastic(rng, n, k)
         gamma = float(rng.uniform(0.0, 5.0))
-        got = potts_loss(g, c, gamma)
+        got = potts_loss(g, c, gamma)[0]
         want = potts_double_sum(dense_adjacency(g), c, gamma)
         worst = max(worst, abs(got - want))
     report(2, worst <= 1e-9, f"max |trace - double sum| = {worst:.3g} over 100 triples")
@@ -184,7 +179,7 @@ def test_criterion_04_hard_potts_equals_negative_modularity():
         for _ in range(4):
             k = int(rng.integers(1, 5))
             labels = rng.integers(0, k, size=g.n)
-            got = potts_loss(g, hard_c(labels, k), 1.0)
+            got = potts_loss(g, hard_c(labels, k), 1.0)[0]
             want = -modularity(g, labels) / 100.0
             worst = max(worst, abs(got - want))
     report(4, worst <= 1e-9, f"max |potts + modularity/100| = {worst:.3g} at gamma=1")
@@ -286,7 +281,7 @@ def test_criterion_09_citeseer_reproduction():
         # these reference numbers are known to be hard to reproduce; a band
         # miss is accepted as long as the math criteria above stay green,
         # which pytest enforces independently
-        print(f"PASS criterion 9: outside +-{BAND} band but reported: {detail}")
+        print(f"MISS criterion 9: outside +-{BAND} band, accepted: {detail}")
 
 
 def test_criterion_10_cli_determinism(tmp_path):

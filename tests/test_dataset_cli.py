@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,11 +97,16 @@ class TestLoadDataset:
             ("0\t0\tabc\n", "not a number"),
             ("0\t0\tinf\n", "not finite"),
             ("0\t0\tnan\n", "not finite"),
+            (b"0\t0\t1\n1\t0\t\xff\n", "cannot read .*features.tsv"),
         ],
     )
     def test_feature_errors(self, tmp_path, content, msg):
         write_minimal(tmp_path / "d")
-        (tmp_path / "d" / "features.tsv").write_text(content)
+        path = tmp_path / "d" / "features.tsv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         with pytest.raises(DatasetFormatError, match=msg):
             load_dataset(tmp_path / "d")
 
@@ -116,6 +122,12 @@ class TestLoadDataset:
         write_minimal(tmp_path / "d")
         (tmp_path / "d" / "labels.tsv").write_text(content)
         with pytest.raises(DatasetFormatError, match=msg):
+            load_dataset(tmp_path / "d")
+
+    def test_non_utf8_meta(self, tmp_path):
+        write_minimal(tmp_path / "d")
+        (tmp_path / "d" / "meta.json").write_bytes(b'{"n": 2, "num_features": 1, "num_classes": 2}\xff')
+        with pytest.raises(DatasetFormatError, match="cannot read .*meta.json"):
             load_dataset(tmp_path / "d")
 
     def test_labels_need_positive_num_classes(self, tmp_path):
@@ -183,6 +195,16 @@ class TestFeatureBuilders:
 
 def run_cli(*args):
     return main(list(args))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env():
+    """The environment for a child process that imports this tree's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestCliGen:
@@ -297,6 +319,17 @@ class TestCliTrain:
         assert run_cli("train", "--data", str(ring_dataset), "--config", str(unknown),
                        "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"epochs": 5.5}, {"seed": "a"}, {"k": 2.0}, {"dropout_keep": "0.5"}, {"epochs": True}],
+    )
+    def test_wrong_config_type_exits_2(self, tmp_path, ring_dataset, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_dataset_exits_3(self, tmp_path):
         assert run_cli("train", "--data", str(tmp_path / "missing"),
                        "--out", str(tmp_path / "o")) == 3
@@ -305,6 +338,23 @@ class TestCliTrain:
         (ring_dataset / "edges.tsv").write_text("0\tbroken\n")
         assert run_cli("train", "--data", str(ring_dataset),
                        "--out", str(tmp_path / "o")) == 3
+
+    def test_non_utf8_features_exits_3(self, tmp_path, ring_dataset, capsys):
+        (ring_dataset / "features.tsv").write_bytes(b"0\t0\t1\n1\t0\t\xe9\n")
+        assert run_cli("train", "--data", str(ring_dataset),
+                       "--out", str(tmp_path / "o")) == 3
+        assert "features.tsv" in capsys.readouterr().err
+
+    def test_edgeless_dataset_exits_3(self, tmp_path, capsys):
+        root = tmp_path / "edgeless"
+        write_minimal(root)
+        (root / "edges.tsv").write_text("0\t0\n")  # a self-loop is dropped, leaving m=0
+        assign = tmp_path / "a.tsv"
+        assign.write_text("0\t0\n1\t1\n")
+        assert run_cli("train", "--data", str(root), "--out", str(tmp_path / "o")) == 3
+        assert run_cli("eval", "--data", str(root), "--assignment", str(assign)) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"dataset {root} has no edges") == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path):
@@ -362,6 +412,24 @@ class TestCliEval:
         assign.write_text("0\t0\n")
         assert run_cli("eval", "--data", str(ring_dataset), "--assignment", str(assign)) == 3
 
+    @pytest.mark.parametrize(
+        "content, msg",
+        [
+            ("0\t0\n1\t0\t7\n", "a.tsv:2: expected 2 tab-separated fields"),
+            ("0\t0\n1\tx\n", "a.tsv:2: cluster id is not an integer"),
+            ("0\t0\n9\t0\n", "a.tsv:2: node id 9 out of range for n=9"),
+            ("0\t0\n1\t-1\n", "a.tsv:2: negative cluster id -1"),
+            ("0\t0\n0\t1\n", "a.tsv:2: duplicate entry for node 0"),
+            (None, "cannot read .*a.tsv"),
+        ],
+    )
+    def test_malformed_assignment_exits_3(self, tmp_path, ring_dataset, capsys, content, msg):
+        assign = tmp_path / "a.tsv"
+        if content is not None:
+            assign.write_text(content)
+        assert run_cli("eval", "--data", str(ring_dataset), "--assignment", str(assign)) == 3
+        assert re.search(msg, capsys.readouterr().err)
+
     def test_train_then_eval_pipeline(self, tmp_path, ring_dataset, capsys):
         cfg = write_config(tmp_path, epochs=60, k=4, hidden=8)
         out = tmp_path / "run"
@@ -383,8 +451,7 @@ class TestConsoleScript:
             import tomllib
         else:
             tomllib = pytest.importorskip("tomli")
-        root = Path(__file__).resolve().parent.parent
-        with open(root / "pyproject.toml", "rb") as fh:
+        with open(ROOT / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["pottscluster"]
         module, _, func = target.partition(":")
         exe = tmp_path / "bin" / "pottscluster"
@@ -397,16 +464,12 @@ class TestConsoleScript:
             f"    sys.exit({func}())\n"
         )
         exe.chmod(0o755)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-        )
         out = tmp_path / "ring"
         proc = subprocess.run(
             [str(exe), "gen", "ring-of-cliques", "--cliques", "3", "--size", "3", "--out", str(out)],
             capture_output=True,
             text=True,
-            env=env,
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "meta.json").is_file()
@@ -414,9 +477,6 @@ class TestConsoleScript:
 
 class TestConvertScript:
     def test_npz_archive_roundtrip(self, tmp_path):
-        import sys
-        from pathlib import Path
-
         import scipy.sparse as sp
 
         # directed triangle plus an isolated node; converter must symmetrize
@@ -433,12 +493,13 @@ class TestConvertScript:
             attr_indptr=attr.indptr, attr_shape=np.array(attr.shape),
             labels=np.array([0, 0, 1, 1]),
         )
-        script = Path(__file__).resolve().parent.parent / "scripts" / "convert_npz_dataset.py"
+        script = ROOT / "scripts" / "convert_npz_dataset.py"
         out = tmp_path / "toy"
         proc = subprocess.run(
             [sys.executable, str(script), str(archive), str(out)],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         g, x, labels = load_dataset(out)

@@ -77,24 +77,26 @@ def make_instance(seed, n=6, l=3, h=4, k=3, p=0.5):
     g = from_edge_list(random_edge_list(rng, n, p), n)
     abar = normalized_adjacency(g)
     x = rng.standard_normal((n, l))
-    params = ModelParams(
-        w=rng.standard_normal((l, h)),
-        w_skip=rng.standard_normal((l, h)),
-        w_out=rng.standard_normal((h, k)),
-        gamma=float(rng.uniform(0.3, 3.0)),
-    )
+    params = ModelParams(l, h, k)
+    for view in (params.w, params.w_skip, params.w_out):
+        view[...] = rng.standard_normal(view.shape)
+    params.flat[-1] = rng.uniform(0.3, 3.0)
     return g, abar, x, params
+
+
+def with_slot(params, name, value):
+    """A copy of ``params`` with one weight matrix replaced."""
+    l, h = params.w.shape
+    p = ModelParams(l, h, params.w_out.shape[1])
+    p.flat[:] = params.flat
+    getattr(p, name)[...] = value
+    return p
 
 
 class TestForward:
     def test_zero_params_give_uniform(self):
         _, abar, x, params = make_instance(2)
-        zero = ModelParams(
-            w=np.zeros_like(params.w),
-            w_skip=np.zeros_like(params.w_skip),
-            w_out=np.zeros_like(params.w_out),
-            gamma=1.0,
-        )
+        zero = ModelParams(*params.w.shape, params.w_out.shape[1])
         c, _ = forward(abar, x, zero)
         assert np.all(c == 1.0 / c.shape[1])
 
@@ -103,12 +105,10 @@ class TestForward:
         abar = normalized_adjacency(g)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 2))
-        params = ModelParams(
-            w=rng.standard_normal((2, 4)) * 100,  # would explode if mixed in
-            w_skip=rng.standard_normal((2, 4)),
-            w_out=rng.standard_normal((4, 2)),
-            gamma=1.0,
-        )
+        params = ModelParams(2, 4, 2)
+        params.w[...] = rng.standard_normal((2, 4)) * 100  # would explode if mixed in
+        params.w_skip[...] = rng.standard_normal((2, 4))
+        params.w_out[...] = rng.standard_normal((4, 2))
         c, cache = forward(abar, x, params)
         expected = selu(x @ params.w_skip)
         assert np.allclose(cache.h, expected, atol=1e-12)
@@ -120,12 +120,10 @@ class TestForward:
         w0, w1 = 0.3, -0.7
         s0, s1 = 0.5, -0.2
         o0, o1 = 1.1, -0.4
-        params = ModelParams(
-            w=np.array([[w0], [w1]]),
-            w_skip=np.array([[s0], [s1]]),
-            w_out=np.array([[o0, o1]]),
-            gamma=1.0,
-        )
+        params = ModelParams(2, 1, 2)
+        params.w[...] = [[w0], [w1]]
+        params.w_skip[...] = [[s0], [s1]]
+        params.w_out[...] = [[o0, o1]]
         c, _ = forward(abar, x, params)
         # hand algebra: abar swaps the two rows of X W; X I keeps W_skip rows
         h0 = SELU_LAMBDA * SELU_ALPHA * (math.exp(w1 + s0) - 1.0)  # w1+s0 = -0.2 <= 0
@@ -157,6 +155,8 @@ class TestForward:
         _, abar, x, params = make_instance(6)
         with pytest.raises(ValueError):
             forward(abar, x[:-1], params)
+        with pytest.raises(ValueError, match="columns"):
+            forward(abar, x[:, :-1], params)
 
 
 class TestBackward:
@@ -164,14 +164,22 @@ class TestBackward:
         _, abar, x, params = make_instance(7)
         c, cache = forward(abar, x, params)
         b = backward(cache, np.zeros_like(c), 0.0)
-        assert not b.d_w.any() and not b.d_w_skip.any() and not b.d_w_out.any()
-        assert b.d_gamma == 0.0
+        assert not b.w.any() and not b.w_skip.any() and not b.w_out.any()
+        assert b.gamma == 0.0
+
+    def test_gradient_has_params_layout(self):
+        _, abar, x, params = make_instance(7)
+        c, cache = forward(abar, x, params)
+        b = backward(cache, np.ones_like(c), 0.25)
+        assert b.flat.shape == params.flat.shape
+        assert b.w.shape == params.w.shape and b.w_out.shape == params.w_out.shape
+        assert b.gamma == 0.25
 
     def test_row_sum_loss_has_vanishing_gradient(self):
         _, abar, x, params = make_instance(8)
         c, cache = forward(abar, x, params)
         b = backward(cache, np.ones_like(c), 0.0)
-        for grad in (b.d_w, b.d_w_skip, b.d_w_out):
+        for grad in (b.w, b.w_skip, b.w_out):
             assert np.max(np.abs(grad)) < 1e-12
 
     def test_matches_fd_on_linear_probe(self):
@@ -182,40 +190,32 @@ class TestBackward:
         c, cache = forward(abar, x, params)
         b = backward(cache, r, 0.0)
 
-        def loss_with(**swap):
-            p = ModelParams(
-                w=swap.get("w", params.w),
-                w_skip=swap.get("w_skip", params.w_skip),
-                w_out=swap.get("w_out", params.w_out),
-                gamma=params.gamma,
-            )
-            return float(np.sum(r * forward(abar, x, p)[0]))
+        def loss_with(name, value):
+            return float(np.sum(r * forward(abar, x, with_slot(params, name, value))[0]))
 
-        for name, analytic in (("w", b.d_w), ("w_skip", b.d_w_skip), ("w_out", b.d_w_out)):
-            fd = fd_gradient(lambda t, nm=name: loss_with(**{nm: t}), getattr(params, name))
-            assert max_rel_err(analytic, fd) <= 1e-4
+        for name in ("w", "w_skip", "w_out"):
+            fd = fd_gradient(lambda t, nm=name: loss_with(nm, t), getattr(params, name))
+            assert max_rel_err(getattr(b, name), fd) <= 1e-4
 
     def test_full_objective_gradient_matches_fd(self):
         g, abar, x, params = make_instance(12)
         c, cache = forward(abar, x, params)
-        _, d_c, d_gamma = evaluate_objective(g, c, params.gamma, "potts", with_grads=True)
+        _, d_c, d_gamma = evaluate_objective(g, c, params.gamma, "potts")
         b = backward(cache, d_c, d_gamma)
 
         def total_with(p: ModelParams) -> float:
             cc, _ = forward(abar, x, p)
-            return evaluate_objective(g, cc, p.gamma, "potts").total
+            return evaluate_objective(g, cc, p.gamma, "potts")[0].total
 
-        for name, analytic in (("w", b.d_w), ("w_skip", b.d_w_skip), ("w_out", b.d_w_out)):
-            def f(t, nm=name):
-                fields = {fn: getattr(params, fn) for fn in ("w", "w_skip", "w_out")}
-                fields[nm] = t
-                return total_with(ModelParams(gamma=params.gamma, **fields))
-            fd = fd_gradient(f, getattr(params, name))
-            assert max_rel_err(analytic, fd) <= 1e-4
+        for name in ("w", "w_skip", "w_out"):
+            fd = fd_gradient(
+                lambda t, nm=name: total_with(with_slot(params, nm, t)), getattr(params, name)
+            )
+            assert max_rel_err(getattr(b, name), fd) <= 1e-4
         fd_g = fd_scalar(
-            lambda v: evaluate_objective(g, c, v, "potts").total, params.gamma
+            lambda v: evaluate_objective(g, c, v, "potts")[0].total, params.gamma
         )
-        assert abs(b.d_gamma - fd_g) <= 1e-6 * max(1.0, abs(fd_g))
+        assert abs(b.gamma - fd_g) <= 1e-6 * max(1.0, abs(fd_g))
 
     def test_shape_mismatch_rejected(self):
         _, abar, x, params = make_instance(13)

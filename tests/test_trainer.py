@@ -1,14 +1,13 @@
 # tests/test_trainer.py
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from oracles import textbook_adam_slot
 from pottscluster import TrainConfig, TrainDivergedError, hard_assign, nmi, train
 from pottscluster.dataset import adjacency_features
-from pottscluster.model import GradientBundle, ModelParams
+from pottscluster.model import ModelParams
 from pottscluster.trainer import AdamState, adam_step, init_params, run_seeds
 
 
@@ -43,11 +42,26 @@ class TestTrainConfig:
             {"w_gamma": -0.1},
             {"loss": "nope"},
             {"collapse_scaling": "nope"},
+            {"epochs": 5.5},
+            {"epochs": True},
+            {"seed": "a"},
+            {"k": 2.0},
+            {"hidden": False},
+            {"dropout_keep": "0.5"},
+            {"learning_rate": True},
+            {"gamma_max": None},
+            {"loss": 1},
+            {"learning_rate": float("nan")},
+            {"gamma_max": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_int_accepted_for_float_fields_without_coercion(self):
+        cfg = TrainConfig(gamma_init=0, learning_rate=1)
+        assert type(cfg.gamma_init) is int and type(cfg.learning_rate) is int
 
     def test_from_dict_roundtrip(self):
         cfg = TrainConfig(seed=3, k=4, epochs=10)
@@ -85,61 +99,92 @@ class TestInitParams:
         assert p.w_out.shape == (9, 5)
 
 
+def random_params(rng, l=3, h=4, k=2, gamma=1.0):
+    params = ModelParams(l, h, k)
+    params.flat[:-1] = rng.standard_normal(params.flat.size - 1)
+    params.flat[-1] = gamma
+    return params
+
+
 def make_params_and_grads(seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    params = ModelParams(
-        w=rng.standard_normal((3, 4)),
-        w_skip=rng.standard_normal((3, 4)),
-        w_out=rng.standard_normal((4, 2)),
-        gamma=1.0,
-    )
-    sign = lambda a: np.where(rng.random(a.shape) < 0.5, -1.0, 1.0)
-    grads = GradientBundle(
-        d_w=sign(params.w) * (0.1 + rng.random(params.w.shape)) * scale,
-        d_w_skip=sign(params.w_skip) * (0.1 + rng.random(params.w_skip.shape)) * scale,
-        d_w_out=sign(params.w_out) * (0.1 + rng.random(params.w_out.shape)) * scale,
-        d_gamma=0.7 * scale,
-    )
+    params = random_params(rng)
+    grads = ModelParams(3, 4, 2)
+    sign = np.where(rng.random(grads.flat.size) < 0.5, -1.0, 1.0)
+    grads.flat[:] = sign * (0.1 + rng.random(grads.flat.size)) * scale
+    grads.flat[-1] = 0.7 * scale
     return params, grads
+
+
+class TestModelParams:
+    def test_slots_are_views_of_flat(self):
+        p = ModelParams(3, 4, 2)
+        assert p.flat.shape == (3 * 4 * 2 + 4 * 2 + 1,)
+        assert p.w.shape == (3, 4) and p.w_skip.shape == (3, 4) and p.w_out.shape == (4, 2)
+        p.flat[:] = np.arange(p.flat.size)
+        assert p.w[0, 0] == 0.0 and p.w_skip[0, 0] == 12.0 and p.w_out[0, 0] == 24.0
+        assert p.gamma == 32.0
+        p.w_out[...] = -1.0
+        assert np.all(p.flat[24:32] == -1.0)
 
 
 class TestAdamStep:
     def test_zero_gradient_leaves_params_unchanged(self):
         params, _ = make_params_and_grads()
-        zero = GradientBundle(
-            d_w=np.zeros_like(params.w),
-            d_w_skip=np.zeros_like(params.w_skip),
-            d_w_out=np.zeros_like(params.w_out),
-            d_gamma=0.0,
-        )
-        new, state = adam_step(params, zero, AdamState.zeros(params), 1e-3, 5.0)
-        assert np.array_equal(new.w, params.w)
-        assert np.array_equal(new.w_skip, params.w_skip)
-        assert np.array_equal(new.w_out, params.w_out)
-        assert new.gamma == params.gamma
+        before = params.flat.copy()
+        state = AdamState.zeros(params)
+        adam_step(params, ModelParams(3, 4, 2), state, 1e-3, 5.0)
+        assert np.array_equal(params.flat, before)
         assert state.t == 1
 
     def test_first_step_is_signed_learning_rate(self):
         params, grads = make_params_and_grads(seed=1)
+        before = params.flat.copy()
         lr = 1e-3
-        new, _ = adam_step(params, grads, AdamState.zeros(params), lr, 5.0)
-        assert np.allclose(new.w - params.w, -lr * np.sign(grads.d_w), atol=lr * 1e-6)
-        assert np.allclose(new.w_out - params.w_out, -lr * np.sign(grads.d_w_out), atol=lr * 1e-6)
-        assert new.gamma - params.gamma == pytest.approx(-lr, abs=lr * 1e-6)
+        adam_step(params, grads, AdamState.zeros(params), lr, 5.0)
+        assert np.allclose(params.flat - before, -lr * np.sign(grads.flat), atol=lr * 1e-6)
+        assert params.gamma - before[-1] == pytest.approx(-lr, abs=lr * 1e-6)
 
     def test_gamma_clamped_at_max(self):
         params, grads = make_params_and_grads(seed=2)
-        params = dataclasses.replace(params, gamma=4.9999)
-        grads = dataclasses.replace(grads, d_gamma=-1.0)
-        new, _ = adam_step(params, grads, AdamState.zeros(params), 1e-3, 5.0)
-        assert new.gamma == 5.0
+        params.flat[-1] = 4.9999
+        grads.flat[-1] = -1.0
+        adam_step(params, grads, AdamState.zeros(params), 1e-3, 5.0)
+        assert params.gamma == 5.0
 
     def test_gamma_clamped_at_zero(self):
         params, grads = make_params_and_grads(seed=3)
-        params = dataclasses.replace(params, gamma=1e-4)
-        grads = dataclasses.replace(grads, d_gamma=1.0)
-        new, _ = adam_step(params, grads, AdamState.zeros(params), 1e-3, 5.0)
-        assert new.gamma == 0.0
+        params.flat[-1] = 1e-4
+        grads.flat[-1] = 1.0
+        adam_step(params, grads, AdamState.zeros(params), 1e-3, 5.0)
+        assert params.gamma == 0.0
+
+    def test_bitwise_equal_to_textbook_adam(self):
+        # the flat in-place step must reproduce per-slot Adam bit for bit,
+        # including steps where gamma is pushed past either clamp
+        rng = np.random.default_rng(4)
+        params = random_params(rng, l=5, h=3, k=4, gamma=0.2)
+        slots = ("w", "w_skip", "w_out", "gamma")
+        ref = {name: np.copy(getattr(params, name)) for name in slots}
+        moments = {name: (np.zeros_like(ref[name]), np.zeros_like(ref[name])) for name in slots}
+        state = AdamState.zeros(params)
+        lr, gamma_max = 0.3, 1.0
+        gammas = []
+        for t in range(1, 21):
+            grads = ModelParams(5, 3, 4)
+            grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.integers(-3, 3)
+            grads.flat[-1] = 5.0 if t <= 4 else -5.0  # drive gamma down to 0, then up to max
+            adam_step(params, grads, state, lr, gamma_max)
+            for name in slots:
+                ref[name], *moments[name] = textbook_adam_slot(
+                    ref[name], np.copy(getattr(grads, name)), *moments[name], t, lr
+                )
+            ref["gamma"] = min(max(ref["gamma"], 0.0), gamma_max)
+            for name in slots:
+                assert np.array_equal(getattr(params, name), ref[name]), (t, name)
+            gammas.append(params.gamma)
+        assert state.t == 20
+        assert 0.0 in gammas and gamma_max in gammas
 
 
 @pytest.fixture
