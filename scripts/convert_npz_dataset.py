@@ -52,11 +52,10 @@ def main(argv=None) -> int:
     coo = adj.maximum(adj.T).tocoo()  # edge weights collapse to plain edges
     edges = [(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v]
     g = from_edge_list(edges, n)
-    x = np.asarray(attr.todense(), dtype=np.float64)
-    save_dataset(args.out, g, x, labels)
+    save_dataset(args.out, g, attr, labels)
     print(
         f"wrote {args.out}: n={g.n} m={g.m} "
-        f"features={x.shape[1]} classes={int(labels.max()) + 1}"
+        f"features={attr.shape[1]} classes={int(labels.max()) + 1}"
     )
     return 0
 

@@ -15,10 +15,12 @@ archives can be written in any language.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, from_edge_list
 
@@ -28,6 +30,8 @@ __all__ = [
     "load_assignment",
     "save_dataset",
     "one_hot_degree_features",
+    "adjacency_features",
+    "feature_matrix",
     "write_atomic",
 ]
 
@@ -95,8 +99,13 @@ def _load_meta(path: Path) -> tuple[int, int, int]:
     return n, num_features, num_classes
 
 
-def load_dataset(path: str | os.PathLike) -> tuple[Graph, np.ndarray, np.ndarray | None]:
-    """Read a dataset directory into (graph, dense features, labels-or-None)."""
+def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndarray | None]:
+    """Read a dataset directory into (graph, features, labels-or-None).
+
+    The features come back as an (n, num_features) CSR matrix in canonical
+    format (sorted indices, no duplicates) holding the triplets of
+    features.tsv, so no dense n x num_features array is ever built.
+    """
     root = Path(path)
     if not root.is_dir():
         raise DatasetFormatError(f"dataset directory not found: {root}")
@@ -114,7 +123,8 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, np.ndarray, np.ndarray
         edges.append((u, v))
     g = from_edge_list(edges, n)
 
-    x = np.zeros((n, num_features), dtype=np.float64)
+    keys: list[int] = []  # node * num_features + feature, row-major position
+    values: list[float] = []
     seen = set()
     for lineno, fields in _iter_rows(root / "features.tsv", 3):
         node = _parse_int("features.tsv", lineno, fields[0], "node id")
@@ -123,16 +133,21 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, np.ndarray, np.ndarray
             _fail("features.tsv", lineno, f"node id {node} out of range for n={n}")
         if not 0 <= feat < num_features:
             _fail("features.tsv", lineno, f"feature index {feat} out of range for num_features={num_features}")
-        if (node, feat) in seen:
+        key = node * num_features + feat
+        if key in seen:
             _fail("features.tsv", lineno, f"duplicate entry for node {node}, feature {feat}")
-        seen.add((node, feat))
+        seen.add(key)
         try:
             value = float(fields[2])
         except ValueError:
             _fail("features.tsv", lineno, f"value is not a number: {fields[2]!r}")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             _fail("features.tsv", lineno, f"value is not finite: {fields[2]!r}")
-        x[node, feat] = value
+        keys.append(key)
+        values.append(value)
+    # the COO -> CSR conversion sorts each row's indices; keys are unique
+    rows_cols = np.divmod(np.array(keys, dtype=np.int64), num_features)
+    x = sp.csr_matrix((np.array(values, dtype=np.float64), rows_cols), shape=(n, num_features))
 
     labels_path = root / "labels.tsv"
     labels: np.ndarray | None = None
@@ -176,6 +191,22 @@ def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
     return pred
 
 
+def feature_matrix(x: np.ndarray | sp.spmatrix, n: int) -> sp.csr_matrix:
+    """A float64 CSR copy of dense or sparse (n, l) features, duplicates summed and zeros dropped.
+
+    The copy is canonical (sorted indices), and the caller's matrix is left
+    as it was.
+    """
+    if not sp.issparse(x):
+        x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ValueError(f"features shape {x.shape} does not match n={n}")
+    x = sp.csr_matrix(x, dtype=np.float64, copy=True)
+    x.sum_duplicates()
+    x.eliminate_zeros()
+    return x
+
+
 def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename."""
     tmp = path.with_name(path.name + ".tmp")
@@ -193,12 +224,12 @@ def save_dataset(
     """Write (graph, features, labels) as a dataset directory.
 
     Each file lands via write-temp-then-rename. Edges are emitted once in
-    canonical u < v order; features as nonzero triplets with 17 significant
-    digits.
+    canonical u < v order; features as nonzero triplets in row-major order
+    with 17 significant digits. ``x`` may be a dense array or a scipy sparse
+    matrix; both forms of the same matrix write the same files (see
+    ``feature_matrix``).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.n:
-        raise ValueError(f"features shape {x.shape} does not match n={g.n}")
+    x = feature_matrix(x, g.n)
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (g.n,):
@@ -224,8 +255,10 @@ def save_dataset(
     edge_lines = [f"{u}\t{v}" for u, v in zip(src[keep], g.col_idx[keep])]
     write_atomic(root / "edges.tsv", "\n".join(edge_lines) + ("\n" if edge_lines else ""))
 
-    rows, cols = np.nonzero(x)
-    feat_lines = [f"{r}\t{c}\t{x[r, c]:.17g}" for r, c in zip(rows, cols)]
+    rows = np.repeat(np.arange(g.n), np.diff(x.indptr))
+    feat_lines = [
+        f"{r}\t{c}\t{v:.17g}" for r, c, v in zip(rows.tolist(), x.indices.tolist(), x.data.tolist())
+    ]
     write_atomic(root / "features.tsv", "\n".join(feat_lines) + ("\n" if feat_lines else ""))
 
     if labels is not None:
@@ -242,14 +275,11 @@ def one_hot_degree_features(g: Graph) -> np.ndarray:
     return x
 
 
-def adjacency_features(g: Graph) -> np.ndarray:
-    """Dense adjacency rows with a self entry, as features for featureless graphs.
+def adjacency_features(g: Graph) -> sp.csr_matrix:
+    """Adjacency rows with a self entry, A + I as a CSR matrix, as features for featureless graphs.
 
     Nodes with identical closed neighborhoods get identical rows, so the
     encoder maps them to the same cluster distribution; that keeps tightly
     knit groups together instead of letting per-node features split them.
     """
-    x = np.zeros((g.n, g.n), dtype=np.float64)
-    x[g.arc_sources(), g.col_idx] = 1.0
-    x[np.arange(g.n), np.arange(g.n)] = 1.0
-    return x
+    return g.to_scipy() + sp.identity(g.n, format="csr")

@@ -3,7 +3,8 @@
 
 A run is a pure function of (graph, features, config): weight init draws
 from ``default_rng(seed)`` and the dropout stream from
-``default_rng([seed, 1])``, so repeating a run reproduces every float bit
+``default_rng([seed, 1])``, one n x l block of uniforms per epoch whatever
+the sparsity of the features, so repeating a run reproduces every float bit
 for bit. Optimization is plain Adam over one vector holding the three weight
 matrices and the scalar resolution gamma, which is clamped to
 [0, gamma_max] after each step.
@@ -16,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+import scipy.sparse as sp
 
+from .dataset import feature_matrix
 from .graph import Graph, normalized_adjacency
 from .losses import COLLAPSE_SCALINGS, LOSS_KINDS, LossBreakdown, evaluate_objective
 from .metrics import MetricsReport, evaluate_partition, hard_assign
@@ -28,6 +31,7 @@ __all__ = [
     "EpochRecord",
     "RunTrace",
     "AdamState",
+    "FeatureDropout",
     "init_params",
     "adam_step",
     "train",
@@ -192,24 +196,55 @@ def adam_step(
     params.flat[-1] = min(max(params.flat[-1], 0.0), gamma_max)
 
 
-def train(g: Graph, x: np.ndarray, config: TrainConfig) -> RunTrace:
+class FeatureDropout:
+    """Inverted dropout on the stored entries of a CSR feature matrix.
+
+    Each draw takes uniforms for all n x l entries from ``rng``, as a dense
+    mask would, and keeps those at the stored positions. Masking a zero is a
+    no-op, so the stored values come out bit for bit as the dense
+    ``x * mask`` on the same stream. The dropped-out matrix and its
+    transpose, a CSC view sharing its ``.data``, are built once and each
+    draw overwrites ``.data`` in place: building both costs about 45 us,
+    a tenth of a sub-millisecond epoch on a small graph.
+    """
+
+    def __init__(self, x: sp.csr_matrix, keep: float, rng: np.random.Generator):
+        self.x, self.keep, self.rng = x, keep, rng
+        self.uniforms = np.empty(x.shape)
+        rows = np.repeat(np.arange(x.shape[0], dtype=np.int64), np.diff(x.indptr))
+        self.stored = rows * x.shape[1] + x.indices  # row-major positions of x.data
+        self.dropped = x.copy()
+        self.dropped_t = self.dropped.T
+
+    def draw(self) -> sp.csr_matrix:
+        """Apply a fresh mask to x, returning ``dropped``; ``dropped_t`` follows it."""
+        self.rng.random(out=self.uniforms)
+        mask = (self.uniforms.take(self.stored) < self.keep).astype(np.float64) / self.keep
+        np.multiply(self.x.data, mask, out=self.dropped.data)
+        return self.dropped
+
+
+def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrace:
     """Train the encoder on (g, x) and return the epoch trace.
 
-    Record 0 holds the eval-mode loss of the freshly initialized model.
-    Record e (1-based) holds the training-mode loss the optimizer saw at
-    epoch e, together with gamma as it stands after that epoch's update, so
-    the trace has epochs + 1 records.
+    ``x`` is dense or scipy sparse; training works on a float64 CSR copy,
+    so the caller's matrix is never modified. Record 0 holds the eval-mode
+    loss of the freshly initialized model. Record e (1-based) holds the
+    training-mode loss the optimizer saw at epoch e, together with gamma as
+    it stands after that epoch's update, so the trace has epochs + 1
+    records.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.n:
-        raise ValueError(f"features shape {x.shape} does not match n={g.n}")
+    x = feature_matrix(x, g.n)
+    x_t = x.T
     abar = normalized_adjacency(g)
     params = init_params(x.shape[1], config)
     if config.loss == "dmon":
         # the baseline pins the resolution at 1; its gamma gradient is zero
         params.flat[-1] = 1.0
     state = AdamState.zeros(params)
-    dropout_rng = np.random.default_rng([config.seed, 1])
+    dropout = None
+    if config.dropout_keep < 1.0:
+        dropout = FeatureDropout(x, config.dropout_keep, np.random.default_rng([config.seed, 1]))
     objective_kw = dict(
         w_collapse=config.w_collapse,
         w_gamma=config.w_gamma,
@@ -217,7 +252,7 @@ def train(g: Graph, x: np.ndarray, config: TrainConfig) -> RunTrace:
         collapse_scaling=config.collapse_scaling,
     )
 
-    c0, _ = forward(abar, x, params)
+    c0, _ = forward(abar, x, params, x_t)
     first, _, _ = evaluate_objective(g, c0, params.gamma, config.loss, **objective_kw)
     records = [
         EpochRecord(
@@ -233,12 +268,10 @@ def train(g: Graph, x: np.ndarray, config: TrainConfig) -> RunTrace:
         raise TrainDivergedError(0, first)
 
     for epoch in range(1, config.epochs + 1):
-        mask = None
-        if config.dropout_keep < 1.0:
-            mask = (
-                dropout_rng.random(x.shape) < config.dropout_keep
-            ).astype(np.float64) / config.dropout_keep
-        c, cache = forward(abar, x, params, dropout_mask=mask)
+        if dropout is None:
+            c, cache = forward(abar, x, params, x_t)
+        else:
+            c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t)
         breakdown, d_c, d_gamma = evaluate_objective(
             g, c, params.gamma, config.loss, **objective_kw
         )
@@ -257,7 +290,7 @@ def train(g: Graph, x: np.ndarray, config: TrainConfig) -> RunTrace:
             )
         )
 
-    c_final, _ = forward(abar, x, params)
+    c_final, _ = forward(abar, x, params, x_t)
     return RunTrace(records=records, final_params=params, final_assignment=c_final)
 
 

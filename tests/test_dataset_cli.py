@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pottscluster import (
     DatasetFormatError,
@@ -36,8 +37,17 @@ class TestLoadDataset:
         write_minimal(tmp_path / "d")
         g, x, labels = load_dataset(tmp_path / "d")
         assert g.n == 2 and g.m == 1
-        assert x.tolist() == [[1.5], [-2.0]]
+        assert sp.isspmatrix_csr(x) and x.has_canonical_format
+        assert x.toarray().tolist() == [[1.5], [-2.0]]
         assert labels.tolist() == [0, 1]
+
+    def test_features_out_of_order_give_canonical_csr(self, tmp_path):
+        write_minimal(tmp_path / "d")
+        (tmp_path / "d" / "meta.json").write_text('{"n": 2, "num_features": 3, "num_classes": 2}\n')
+        (tmp_path / "d" / "features.tsv").write_text("1\t2\t4\n0\t2\t-1\n1\t0\t0.5\n0\t1\t2\n")
+        _, x, _ = load_dataset(tmp_path / "d")
+        assert sp.isspmatrix_csr(x) and x.has_canonical_format
+        assert x.toarray().tolist() == [[0.0, 2.0, -1.0], [0.5, 0.0, 4.0]]
 
     def test_labels_optional(self, tmp_path):
         write_minimal(tmp_path / "d", labels=False)
@@ -158,8 +168,29 @@ class TestSaveDataset:
         g2, x2, labels2 = load_dataset(tmp_path / "d")
         assert g2.n == g.n and g2.m == g.m
         assert np.array_equal(g2.col_idx, g.col_idx)
-        assert np.array_equal(x2, x)  # 17 significant digits round-trip float64
+        assert np.array_equal(x2.toarray(), x)  # 17 significant digits round-trip float64
         assert np.array_equal(labels2, labels)
+
+    def test_sparse_features_write_same_files_as_dense(self, tmp_path):
+        g, labels = ring_of_cliques(3, 4)
+        rng = np.random.default_rng(1)
+        dense = np.where(rng.random((g.n, 6)) < 0.4, rng.standard_normal((g.n, 6)), 0.0)
+        dense[0, :2] = [0.25, 0.0]
+        rows, cols = np.nonzero(dense)
+        trip = [t for t in zip(rows.tolist(), cols.tolist(), dense[rows, cols].tolist()) if t[:2] != (0, 0)]
+        # (0, 0) stored as two halves, an explicit zero at (0, 1), columns descending in each row
+        trip += [(0, 0, 0.125), (0, 1, 0.0), (0, 0, 0.125)]
+        trip.sort(key=lambda t: (t[0], -t[1]))
+        r, c, v = (np.array(col) for col in zip(*trip))
+        csr = sp.csr_matrix((v, c, np.searchsorted(r, np.arange(g.n + 1))), shape=dense.shape)
+        assert not csr.has_sorted_indices
+        before = [a.copy() for a in (csr.data, csr.indices, csr.indptr)]
+        save_dataset(tmp_path / "dense", g, dense, labels)
+        save_dataset(tmp_path / "sparse", g, csr, labels)
+        for name in ("meta.json", "edges.tsv", "features.tsv", "labels.tsv"):
+            assert (tmp_path / "dense" / name).read_bytes() == (tmp_path / "sparse" / name).read_bytes()
+        for a, old in zip((csr.data, csr.indices, csr.indptr), before):
+            assert np.array_equal(a, old)
 
     def test_roundtrip_without_labels(self, tmp_path):
         g = from_edge_list([(0, 1)], 2)
@@ -190,7 +221,8 @@ class TestFeatureBuilders:
         expected = np.array(
             [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], dtype=float
         )
-        assert np.array_equal(x, expected)
+        assert sp.isspmatrix_csr(x) and x.has_canonical_format
+        assert np.array_equal(x.toarray(), expected)
 
 
 def run_cli(*args):
@@ -504,5 +536,5 @@ class TestConvertScript:
         assert proc.returncode == 0, proc.stderr
         g, x, labels = load_dataset(out)
         assert g.n == 4 and g.m == 3
-        assert np.array_equal(x, np.array([[1.5, 0], [0, 2.0], [0, 0], [3.25, 0]]))
+        assert np.array_equal(x.toarray(), np.array([[1.5, 0], [0, 2.0], [0, 0], [3.25, 0]]))
         assert labels.tolist() == [0, 0, 1, 1]

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import fd_gradient, fd_scalar, max_rel_err, random_edge_list
 from pottscluster import from_edge_list, normalized_adjacency
@@ -139,11 +140,17 @@ class TestForward:
     def test_dropout_mask_applied_to_input(self):
         g, abar, x, params = make_instance(4)
         rng = np.random.default_rng(9)
-        mask = (rng.random(x.shape) < 0.5) / 0.5
-        c_masked, cache = forward(abar, x, params, dropout_mask=mask)
-        c_manual, _ = forward(abar, x * mask, params)
-        assert np.array_equal(c_masked, c_manual)
-        assert np.array_equal(cache.x_used, x * mask)
+        x_drop = x * ((rng.random(x.shape) < 0.5) / 0.5)
+        x_sparse = sp.csr_matrix(x_drop)
+        x_t = x_sparse.T
+        c_sparse, cache = forward(abar, x_sparse, params, x_t)
+        c_dense, dense_cache = forward(abar, x_drop, params)
+        assert np.allclose(c_sparse, c_dense, rtol=0, atol=1e-15)
+        assert cache.x_t is x_t
+        assert np.array_equal(dense_cache.x_t, x_drop.T)
+        b_sparse = backward(cache, np.ones_like(c_sparse) + c_sparse, 0.0)
+        b_dense = backward(dense_cache, np.ones_like(c_dense) + c_dense, 0.0)
+        assert np.allclose(b_sparse.flat, b_dense.flat, rtol=1e-12, atol=1e-15)
 
     def test_eval_mode_deterministic(self):
         _, abar, x, params = make_instance(5)

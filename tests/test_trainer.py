@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import textbook_adam_slot
 from pottscluster import TrainConfig, TrainDivergedError, hard_assign, nmi, train
 from pottscluster.dataset import adjacency_features
 from pottscluster.model import ModelParams
-from pottscluster.trainer import AdamState, adam_step, init_params, run_seeds
+from pottscluster.trainer import AdamState, FeatureDropout, adam_step, init_params, run_seeds
 
 
 class TestTrainConfig:
@@ -121,11 +122,16 @@ class TestModelParams:
         p = ModelParams(3, 4, 2)
         assert p.flat.shape == (3 * 4 * 2 + 4 * 2 + 1,)
         assert p.w.shape == (3, 4) and p.w_skip.shape == (3, 4) and p.w_out.shape == (4, 2)
+        assert p.w_in.shape == (3, 8)
         p.flat[:] = np.arange(p.flat.size)
-        assert p.w[0, 0] == 0.0 and p.w_skip[0, 0] == 12.0 and p.w_out[0, 0] == 24.0
+        # row i of w_in is [w[i] | w_skip[i]]
+        assert p.w[0, 0] == 0.0 and p.w_skip[0, 0] == 4.0 and p.w[1, 0] == 8.0 and p.w_out[0, 0] == 24.0
+        assert np.array_equal(p.w_in, np.hstack([p.w, p.w_skip]))
         assert p.gamma == 32.0
         p.w_out[...] = -1.0
         assert np.all(p.flat[24:32] == -1.0)
+        p.w_skip[...] = -2.0
+        assert np.all(p.flat[:24].reshape(3, 8)[:, 4:] == -2.0)
 
 
 class TestAdamStep:
@@ -187,6 +193,24 @@ class TestAdamStep:
         assert 0.0 in gammas and gamma_max in gammas
 
 
+class TestFeatureDropout:
+    @pytest.mark.parametrize("keep", [0.5, 0.3])
+    def test_stored_values_equal_dense_mask_on_same_stream(self, keep):
+        x = sp.random(30, 40, density=0.1, format="csr", random_state=np.random.default_rng(0))
+        x.data = np.random.default_rng(1).standard_normal(x.nnz)
+        dense = x.toarray()
+        rows = np.repeat(np.arange(30), np.diff(x.indptr))
+        ours, ref = np.random.default_rng(2), np.random.default_rng(2)
+        dropout = FeatureDropout(x, keep, ours)
+        for _ in range(3):
+            dropped = dropout.draw()
+            expected = dense * ((ref.random(x.shape) < keep).astype(np.float64) / keep)
+            assert np.array_equal(dropped.data, expected[rows, x.indices])
+            assert np.array_equal(dropout.dropped_t.toarray(), expected.T)
+        assert ours.random() == ref.random()
+        assert np.array_equal(x.toarray(), dense)
+
+
 @pytest.fixture
 def k4_setup(two_k4s):
     return two_k4s, adjacency_features(two_k4s), np.array([0] * 4 + [1] * 4)
@@ -246,6 +270,25 @@ class TestTrain:
             train(g, x * 1e308, TrainConfig(epochs=5))  # feature sums overflow to inf
         assert err.value.epoch >= 0
         assert not np.isfinite(err.value.breakdown.total)
+
+    def test_dense_and_csr_features_train_identically(self, two_k4s):
+        x = np.where(np.random.default_rng(3).random((8, 12)) < 0.3, 1.5, 0.0)
+        cfg = TrainConfig(seed=2, epochs=30, dropout_keep=0.6)
+        t_dense = train(two_k4s, x, cfg)
+        t_sparse = train(two_k4s, sp.csr_matrix(x), cfg)
+        assert t_dense.records == t_sparse.records
+        assert np.array_equal(t_dense.final_assignment, t_sparse.final_assignment)
+
+    def test_caller_csr_left_unchanged(self, k4_setup):
+        g, x, _ = k4_setup
+        # row 7 gets a second (7, 7) and an explicit zero at (7, 1), out of column order;
+        # training sums and drops these on its own copy
+        data, indices = np.r_[x.data, 0.5, 0.0], np.r_[x.indices, 7, 1]
+        x = sp.csr_matrix((data, indices, np.r_[x.indptr[:-1], x.nnz + 2]), shape=x.shape)
+        before = [a.copy() for a in (x.data, x.indices, x.indptr)]
+        train(g, x, TrainConfig(epochs=5))
+        for a, old in zip((x.data, x.indices, x.indptr), before):
+            assert np.array_equal(a, old)
 
     def test_feature_shape_mismatch(self, k4_setup):
         g, x, _ = k4_setup
