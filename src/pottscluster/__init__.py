@@ -15,7 +15,6 @@ from .dataset import (
 )
 from .graph import (
     Graph,
-    NormalizedAdjacency,
     from_edge_list,
     normalized_adjacency,
     ring_of_cliques,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "NormalizedAdjacency",
     "from_edge_list",
     "normalized_adjacency",
     "ring_of_cliques",

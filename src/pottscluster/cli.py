@@ -13,6 +13,7 @@ progress messages on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .dataset import (
     write_atomic,
 )
 from .graph import Graph, ring_of_cliques, sbm
-from .metrics import MetricsReport, evaluate_partition, hard_assign
+from .metrics import evaluate_partition, hard_assign
 from .trainer import TrainConfig, TrainDivergedError, run_seeds
 
 __all__ = ["main"]
@@ -71,16 +72,6 @@ def _load_graph_dataset(path: str):
     return g, x, labels
 
 
-def _report_dict(report: MetricsReport) -> dict:
-    return {
-        "modularity": report.modularity,
-        "conductance": report.conductance,
-        "num_clusters": report.num_clusters,
-        "nmi": report.nmi,
-        "pairwise_f1": report.pairwise_f1,
-    }
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.seeds < 1:
@@ -108,16 +99,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     assign_lines = [f"{i}\t{int(c)}" for i, c in enumerate(pred)]
     write_atomic(out / "assignment.tsv", "\n".join(assign_lines) + "\n")
 
-    per_seed = []
-    for run in sweep.runs:
-        entry = {"seed": run.seed, "gamma_final": run.gamma_final,
-                 "total": run.trace.records[-1].total}
-        entry.update(_report_dict(run.report))
-        per_seed.append(entry)
     payload = {
         "config": config.to_dict(),
         "num_seeds": args.seeds,
-        "per_seed": per_seed,
+        "per_seed": [run.summary() for run in sweep.runs],
         "aggregate": {"mean": sweep.mean, "std": sweep.std},
     }
     write_atomic(out / "metrics.json", json.dumps(payload, indent=2) + "\n")
@@ -129,7 +114,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     g, _, labels = _load_graph_dataset(args.data)
     pred = load_assignment(args.assignment, g.n)
     report = evaluate_partition(g, pred, labels)
-    print(json.dumps(_report_dict(report), indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK
 
 

@@ -217,7 +217,7 @@ def write_atomic(path: Path, text: str) -> None:
 def save_dataset(
     path: str | os.PathLike,
     g: Graph,
-    x: np.ndarray,
+    x: np.ndarray | sp.spmatrix,
     labels: np.ndarray | None = None,
     num_classes: int | None = None,
 ) -> None:
@@ -282,4 +282,4 @@ def adjacency_features(g: Graph) -> sp.csr_matrix:
     encoder maps them to the same cluster distribution; that keeps tightly
     knit groups together instead of letting per-node features split them.
     """
-    return g.to_scipy() + sp.identity(g.n, format="csr")
+    return g.adj + sp.identity(g.n, format="csr")

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "Graph",
-    "NormalizedAdjacency",
     "from_edge_list",
     "normalized_adjacency",
     "spmm",
@@ -35,38 +34,14 @@ class Graph:
     degrees: np.ndarray
 
     @cached_property
-    def _csr(self) -> sp.csr_matrix:
+    def adj(self) -> sp.csr_matrix:
+        """Adjacency as a scipy CSR matrix with unit weights, on this graph's arrays."""
         data = np.ones(self.col_idx.shape[0], dtype=np.float64)
         return sp.csr_matrix((data, self.col_idx, self.row_ptr), shape=(self.n, self.n))
-
-    def to_scipy(self) -> sp.csr_matrix:
-        """Adjacency as a scipy CSR matrix with unit weights."""
-        return self._csr
 
     def arc_sources(self) -> np.ndarray:
         """Source node of every stored arc (row index expanded along row_ptr)."""
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_ptr))
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Symmetrically degree-normalized adjacency D^{-1/2} A D^{-1/2}.
-
-    Shares the CSR structure of the Graph it was built from; the stored value
-    for edge (u, v) is 1/sqrt(d_u * d_v). Rows of isolated nodes are empty.
-    """
-
-    n: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-
-    @cached_property
-    def _csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n))
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return self._csr
 
 
 def from_edge_list(edges, n: int) -> Graph:
@@ -103,27 +78,28 @@ def from_edge_list(edges, n: int) -> Graph:
     return Graph(n=n, row_ptr=row_ptr, col_idx=dst, m=m, degrees=degrees)
 
 
-def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
-    """Compute Abar = D^{-1/2} A D^{-1/2} on the CSR structure of ``g``.
+def normalized_adjacency(g: Graph) -> sp.csr_matrix:
+    """Abar = D^{-1/2} A D^{-1/2} as a CSR matrix on the structure of ``g``.
 
-    Isolated nodes keep empty rows; no self-loop augmentation is applied.
+    The stored value for arc (u, v) is 1/sqrt(d_u * d_v). Isolated nodes keep
+    empty rows; no self-loop augmentation is applied.
     """
     src = g.arc_sources()
-    dst = g.col_idx
-    values = 1.0 / np.sqrt(g.degrees[src].astype(np.float64) * g.degrees[dst])
-    return NormalizedAdjacency(n=g.n, row_ptr=g.row_ptr, col_idx=g.col_idx, values=values)
+    values = 1.0 / np.sqrt(g.degrees[src].astype(np.float64) * g.degrees[g.col_idx])
+    return sp.csr_matrix((values, g.col_idx, g.row_ptr), shape=(g.n, g.n))
 
 
-def spmm(a: Graph | NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product ``a @ x`` for an n x c dense matrix x.
+def spmm(a: sp.spmatrix, x: np.ndarray) -> np.ndarray:
+    """Sparse-dense product ``a @ x`` for a scipy operator and a dense matrix x.
 
     scipy's CSR kernel accumulates each row sequentially in stored order,
-    which is ascending column index here, so results are deterministic.
+    which is ascending column index for the graph's matrices, so results
+    are deterministic.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != a.n:
-        raise ValueError(f"expected dense matrix with {a.n} rows, got shape {x.shape}")
-    return a.to_scipy() @ x
+    if x.ndim != 2 or x.shape[0] != a.shape[1]:
+        raise ValueError(f"expected dense matrix with {a.shape[1]} rows, got shape {x.shape}")
+    return a @ x
 
 
 def ring_of_cliques(c: int, s: int) -> tuple[Graph, np.ndarray]:
@@ -150,8 +126,9 @@ def ring_of_cliques(c: int, s: int) -> tuple[Graph, np.ndarray]:
 def sbm(sizes, p_in: float, p_out: float, seed) -> tuple[Graph, np.ndarray]:
     """Stochastic block model: intra-block edges with prob p_in, inter with p_out.
 
-    Pairs are scanned in a fixed order, so the edge set is a deterministic
-    function of the seed.
+    Each block pair, in a fixed order, draws a binomial edge count and then
+    that many distinct node pairs, so time and memory are O(n + m) and the
+    edge set is a deterministic function of the seed.
     """
     sizes = [int(s) for s in sizes]
     if not sizes or any(s < 1 for s in sizes):
@@ -159,10 +136,21 @@ def sbm(sizes, p_in: float, p_out: float, seed) -> tuple[Graph, np.ndarray]:
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
     labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    n = int(labels.shape[0])
+    starts = np.cumsum([0] + sizes)
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    p = np.where(labels[iu] == labels[ju], p_in, p_out)
-    sel = rng.random(iu.shape[0]) < p
-    edges = np.stack([iu[sel], ju[sel]], axis=1)
-    return from_edge_list(edges, n), labels
+    parts = []
+    for a, size_a in enumerate(sizes):
+        for b in range(a, len(sizes)):
+            total = size_a * (size_a - 1) // 2 if a == b else size_a * sizes[b]
+            count = int(rng.binomial(total, p_in if a == b else p_out))
+            idx = rng.choice(total, size=count, replace=False)
+            if a == b:
+                # pair (i, j), i < j, has row-major index first[i] + j - i - 1
+                rows = np.arange(size_a, dtype=np.int64)
+                first = rows * size_a - rows * (rows + 1) // 2
+                i = np.searchsorted(first, idx, side="right") - 1
+                j = idx - first[i] + i + 1
+            else:
+                i, j = np.divmod(idx, sizes[b])
+            parts.append(np.stack([starts[a] + i, starts[b] + j], axis=1))
+    return from_edge_list(np.concatenate(parts), int(labels.shape[0])), labels

@@ -59,7 +59,7 @@ def potts_loss(g: Graph, c: np.ndarray, gamma: float):
     if g.m < 1:
         raise ValueError("Potts objective is undefined on an edgeless graph (m=0)")
     c = np.asarray(c, dtype=np.float64)
-    ac = spmm(g, c)
+    ac = spmm(g.adj, c)
     trace = float(np.sum(c * ac))  # Tr(C^T A C)
     deg = g.degrees.astype(np.float64)
     vol = deg @ c  # d^T C, one entry per cluster
@@ -110,7 +110,7 @@ def mincut_loss(g: Graph, c: np.ndarray):
     if g.m < 1:
         raise ValueError("min-cut objective needs at least one edge")
     c = np.asarray(c, dtype=np.float64)
-    ac = spmm(g, c)
+    ac = spmm(g.adj, c)
     num = float(np.sum(c * ac))
     deg = g.degrees.astype(np.float64)
     den = float(deg @ (c * c).sum(axis=1))

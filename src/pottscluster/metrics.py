@@ -76,34 +76,29 @@ def conductance(g: Graph, labels: np.ndarray) -> float:
     cut = volume - 2.0 * internal  # arcs leaving each cluster
     two_m = 2.0 * g.m
     denom = np.minimum(volume, two_m - volume)
-    vals = []
-    for c in range(volume.size):
-        if sizes[c] == 0:
-            continue
-        vals.append(0.0 if denom[c] == 0.0 else float(cut[c] / denom[c]))
+    vals = np.divide(cut, denom, out=np.zeros_like(cut), where=denom != 0)[sizes > 0]
     return 100.0 * float(np.mean(vals))
 
 
-def _contingency(a: np.ndarray, b: np.ndarray):
-    if a.min() < 0 or b.min() < 0:
+def _contingency(pred, truth) -> np.ndarray:
+    """Count table of (pred, truth) label pairs, after checking both label vectors."""
+    pred = np.asarray(pred, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if pred.shape != truth.shape or pred.ndim != 1:
+        raise ValueError(f"label shapes differ: {pred.shape} vs {truth.shape}")
+    if pred.size == 0:
+        raise ValueError("cannot score empty label vectors")
+    if pred.min() < 0 or truth.min() < 0:
         raise ValueError("cluster labels must be non-negative")
-    ka = int(a.max()) + 1
-    kb = int(b.max()) + 1
-    table = np.zeros((ka, kb), dtype=np.int64)
-    np.add.at(table, (a, b), 1)
+    table = np.zeros((int(pred.max()) + 1, int(truth.max()) + 1), dtype=np.int64)
+    np.add.at(table, (pred, truth), 1)
     return table
 
 
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     """Normalized mutual information (arithmetic mean normalization), x100."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(f"label shapes differ: {pred.shape} vs {truth.shape}")
-    n = pred.size
-    if n == 0:
-        raise ValueError("cannot score empty label vectors")
     table = _contingency(pred, truth)
+    n = int(table.sum())
     pa = table.sum(axis=1) / n
     pb = table.sum(axis=0) / n
     pj = table / n
@@ -128,12 +123,6 @@ def pairwise_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     A pair counts as positive when both nodes share a cluster. Precision and
     recall degenerate to 0 when their denominators vanish, as does F1.
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(f"label shapes differ: {pred.shape} vs {truth.shape}")
-    if pred.size == 0:
-        raise ValueError("cannot score empty label vectors")
     table = _contingency(pred, truth)
 
     def pairs(counts: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import NormalizedAdjacency, spmm
+from .graph import spmm
 
 __all__ = [
     "SELU_LAMBDA",
@@ -60,7 +60,7 @@ class ModelParams:
 class ForwardCache:
     """Intermediates retained by forward() for the matching backward() call."""
 
-    abar: NormalizedAdjacency
+    abar: sp.csr_matrix  # normalized adjacency
     x_t: np.ndarray | sp.spmatrix  # transpose of the features the forward pass used
     h_pre: np.ndarray
     h: np.ndarray
@@ -89,7 +89,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    abar: NormalizedAdjacency,
+    abar: sp.csr_matrix,
     x: np.ndarray | sp.spmatrix,
     params: ModelParams,
     x_t: np.ndarray | sp.spmatrix | None = None,
@@ -100,8 +100,8 @@ def forward(
     transpose if the caller already holds one, as the trainer does for its
     dropped-out features; otherwise the cache takes ``x.T``.
     """
-    if x.ndim != 2 or x.shape[0] != abar.n:
-        raise ValueError(f"features must be ({abar.n}, l), got {x.shape}")
+    if x.ndim != 2 or x.shape[0] != abar.shape[0]:
+        raise ValueError(f"features must be ({abar.shape[0]}, l), got {x.shape}")
     if x.shape[1] != params.w_in.shape[0]:
         raise ValueError(f"features have {x.shape[1]} columns, w has {params.w_in.shape[0]} rows")
     h = params.w.shape[1]

@@ -134,6 +134,10 @@ class EpochRecord:
     gamma_reg: float
     gamma: float
 
+    @classmethod
+    def of(cls, epoch: int, loss: LossBreakdown, gamma: float) -> "EpochRecord":
+        return cls(epoch, loss.total, loss.potts, loss.collapse, loss.gamma_reg, gamma)
+
 
 @dataclass(frozen=True)
 class RunTrace:
@@ -254,16 +258,7 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
 
     c0, _ = forward(abar, x, params, x_t)
     first, _, _ = evaluate_objective(g, c0, params.gamma, config.loss, **objective_kw)
-    records = [
-        EpochRecord(
-            epoch=0,
-            total=first.total,
-            potts=first.potts,
-            collapse=first.collapse,
-            gamma_reg=first.gamma_reg,
-            gamma=params.gamma,
-        )
-    ]
+    records = [EpochRecord.of(0, first, params.gamma)]
     if not np.isfinite(first.total):
         raise TrainDivergedError(0, first)
 
@@ -279,16 +274,7 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
             raise TrainDivergedError(epoch, breakdown)
         grads = backward(cache, d_c, d_gamma)
         adam_step(params, grads, state, config.learning_rate, config.gamma_max)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                total=breakdown.total,
-                potts=breakdown.potts,
-                collapse=breakdown.collapse,
-                gamma_reg=breakdown.gamma_reg,
-                gamma=params.gamma,
-            )
-        )
+        records.append(EpochRecord.of(epoch, breakdown, params.gamma))
 
     c_final, _ = forward(abar, x, params, x_t)
     return RunTrace(records=records, final_params=params, final_assignment=c_final)
@@ -306,6 +292,15 @@ class SeedRun:
     def gamma_final(self) -> float:
         return self.trace.gamma_final
 
+    def summary(self) -> dict[str, Any]:
+        """The seed's row of scalars, in the order metrics.json lists them."""
+        return {
+            "seed": self.seed,
+            "gamma_final": self.gamma_final,
+            "total": self.trace.records[-1].total,
+            **dataclasses.asdict(self.report),
+        }
+
 
 @dataclass(frozen=True)
 class SeedSweep:
@@ -319,17 +314,9 @@ class SeedSweep:
 _SWEEP_KEYS = ("modularity", "conductance", "nmi", "pairwise_f1", "gamma_final", "total")
 
 
-def _run_scalar(run: SeedRun, key: str) -> float | None:
-    if key == "gamma_final":
-        return run.gamma_final
-    if key == "total":
-        return run.trace.records[-1].total
-    return getattr(run.report, key)
-
-
 def run_seeds(
     g: Graph,
-    x: np.ndarray,
+    x: np.ndarray | sp.spmatrix,
     config: TrainConfig,
     num_seeds: int,
     labels: np.ndarray | None = None,
@@ -344,10 +331,11 @@ def run_seeds(
         pred = hard_assign(trace.final_assignment)
         report = evaluate_partition(g, pred, labels)
         runs.append(SeedRun(seed=cfg.seed, trace=trace, report=report))
+    rows = [r.summary() for r in runs]
     mean: dict[str, float | None] = {}
     std: dict[str, float | None] = {}
     for key in _SWEEP_KEYS:
-        vals = [_run_scalar(r, key) for r in runs]
+        vals = [row[key] for row in rows]
         if any(v is None for v in vals):
             mean[key] = None
             std[key] = None

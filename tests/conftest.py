@@ -1,13 +1,9 @@
 # tests/conftest.py
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from pottscluster import from_edge_list
-
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture

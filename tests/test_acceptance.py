@@ -13,11 +13,11 @@ them.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR
 from oracles import (
     dense_adjacency,
     f1_oracle,
@@ -49,6 +49,9 @@ from pottscluster.cli import main
 from pottscluster.dataset import adjacency_features
 from pottscluster.losses import evaluate_objective, potts_loss
 from pottscluster.model import ModelParams, backward, forward
+
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -342,6 +342,40 @@ class TestCliTrain:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "assignment.tsv").read_bytes() == (out2 / "assignment.tsv").read_bytes()
 
+    def test_determinism_across_processes(self, tmp_path, ring_dataset):
+        # the README claim: same dataset, config, BLAS build and thread count
+        # give the same bytes, whatever the process and its hash seed
+        cfg = write_config(tmp_path, epochs=60, k=4, hidden=8)
+        outs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"run{hash_seed}"
+            env = {**src_env(), "OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run(
+                [sys.executable, "-m", "pottscluster.cli", "train", "--data", str(ring_dataset),
+                 "--config", str(cfg), "--out", str(out), "--seeds", "2"],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("trace.csv", "assignment.tsv", "metrics.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_metrics_json_layout(self, tmp_path, ring_dataset):
+        cfg = write_config(tmp_path, epochs=15, k=4, hidden=8)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg),
+                       "--out", str(out), "--seeds", "2") == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert list(metrics) == ["config", "num_seeds", "per_seed", "aggregate"]
+        for entry in metrics["per_seed"]:
+            assert list(entry) == ["seed", "gamma_final", "total", "modularity", "conductance",
+                                   "num_clusters", "nmi", "pairwise_f1"]
+        for block in ("mean", "std"):
+            assert list(metrics["aggregate"][block]) == ["modularity", "conductance", "nmi",
+                                                         "pairwise_f1", "gamma_final", "total"]
+
     def test_bad_config_exits_2(self, tmp_path, ring_dataset):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -417,6 +451,7 @@ class TestCliEval:
         report = json.loads(capsys.readouterr().out)
         assert report["nmi"] == 100.0
         assert report["pairwise_f1"] == 100.0
+        assert list(report) == ["modularity", "conductance", "num_clusters", "nmi", "pairwise_f1"]
 
     def test_single_cluster(self, tmp_path, ring_dataset, capsys):
         assign = tmp_path / "a.tsv"

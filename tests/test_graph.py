@@ -1,8 +1,11 @@
 # tests/test_graph.py
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import dense_adjacency, random_edge_list
 from pottscluster import from_edge_list, normalized_adjacency, ring_of_cliques, sbm, spmm
@@ -55,20 +58,36 @@ class TestFromEdgeList:
             check_csr_invariants(g)
 
 
+class TestAdjacencyMatrices:
+    def test_adj_is_unit_csr_on_graph_arrays(self):
+        g = from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
+        assert sp.isspmatrix_csr(g.adj) and g.adj is g.adj
+        assert np.array_equal(g.adj.indptr, g.row_ptr)
+        assert np.array_equal(g.adj.indices, g.col_idx)
+        assert np.array_equal(g.adj.toarray(), dense_adjacency(g))
+
+    def test_normalized_shares_graph_structure(self):
+        g = from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)], 5)
+        ab = normalized_adjacency(g)
+        assert sp.isspmatrix_csr(ab) and ab.shape == (5, 5)
+        assert np.array_equal(ab.indptr, g.row_ptr)
+        assert np.array_equal(ab.indices, g.col_idx)
+
+
 class TestNormalizedAdjacency:
     def test_single_edge_values(self):
         ab = normalized_adjacency(from_edge_list([(0, 1)], 2))
-        assert np.allclose(ab.values, [1.0, 1.0])
+        assert np.allclose(ab.data, [1.0, 1.0])
 
     def test_triangle_values(self):
         ab = normalized_adjacency(from_edge_list([(0, 1), (1, 2), (2, 0)], 3))
-        assert ab.values.size == 6
-        assert np.allclose(ab.values, 0.5)
+        assert ab.data.size == 6
+        assert np.allclose(ab.data, 0.5)
 
     def test_star_values(self):
         g = from_edge_list([(0, 1), (0, 2), (0, 3), (0, 4)], 5)
         ab = normalized_adjacency(g)
-        assert np.allclose(ab.values, 0.5)  # 1/sqrt(4*1)
+        assert np.allclose(ab.data, 0.5)  # 1/sqrt(4*1)
 
     def test_entrywise_formula_random(self):
         rng = np.random.default_rng(11)
@@ -78,33 +97,35 @@ class TestNormalizedAdjacency:
             ab = normalized_adjacency(g)
             src = g.arc_sources()
             expected = 1.0 / np.sqrt(g.degrees[src] * g.degrees[g.col_idx])
-            assert np.allclose(ab.values, expected, rtol=0, atol=0)
+            assert np.allclose(ab.data, expected, rtol=0, atol=0)
 
     def test_isolated_nodes_keep_empty_rows(self):
         g = from_edge_list([(0, 1)], 4)
         ab = normalized_adjacency(g)
-        assert ab.row_ptr[2] == ab.row_ptr[3] == ab.row_ptr[4]
-        assert np.all((ab.values > 0) & (ab.values <= 1))
+        assert ab.indptr[2] == ab.indptr[3] == ab.indptr[4]
+        assert np.all((ab.data > 0) & (ab.data <= 1))
 
 
 class TestSpmm:
     def test_edgeless_gives_zero(self):
         g = from_edge_list([], 3)
         x = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(spmm(g, x), np.zeros((3, 2)))
+        assert np.array_equal(spmm(g.adj, x), np.zeros((3, 2)))
 
     def test_single_edge_swaps(self):
         g = from_edge_list([(0, 1)], 2)
-        assert spmm(g, np.array([[1.0], [2.0]])).tolist() == [[2.0], [1.0]]
+        assert spmm(g.adj, np.array([[1.0], [2.0]])).tolist() == [[2.0], [1.0]]
 
     def test_triangle_row_sums(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
-        assert spmm(g, np.ones((3, 1))).tolist() == [[2.0], [2.0], [2.0]]
+        assert spmm(g.adj, np.ones((3, 1))).tolist() == [[2.0], [2.0], [2.0]]
 
     def test_dimension_mismatch(self):
         g = from_edge_list([(0, 1)], 2)
         with pytest.raises(ValueError):
-            spmm(g, np.ones((3, 1)))
+            spmm(g.adj, np.ones((3, 1)))
+        with pytest.raises(ValueError):
+            spmm(normalized_adjacency(g), np.ones(2))
 
     def test_matches_dense_product(self):
         rng = np.random.default_rng(3)
@@ -112,11 +133,11 @@ class TestSpmm:
             n = int(rng.integers(2, 50))
             g = from_edge_list(random_edge_list(rng, n, 0.2), n)
             x = rng.standard_normal((n, 4))
-            assert np.allclose(spmm(g, x), dense_adjacency(g) @ x, atol=1e-12)
+            assert np.allclose(spmm(g.adj, x), dense_adjacency(g) @ x, atol=1e-12)
             ab = normalized_adjacency(g)
             dense_ab = np.zeros((n, n))
             src = g.arc_sources()
-            dense_ab[src, g.col_idx] = ab.values
+            dense_ab[src, g.col_idx] = ab.data
             assert np.allclose(spmm(ab, x), dense_ab @ x, atol=1e-12)
 
     def test_basis_vectors_reproduce_columns(self):
@@ -127,7 +148,7 @@ class TestSpmm:
         for j in range(n):
             e_j = np.zeros((n, 1))
             e_j[j, 0] = 1.0
-            assert np.array_equal(spmm(g, e_j)[:, 0], a[:, j])
+            assert np.array_equal(spmm(g.adj, e_j)[:, 0], a[:, j])
 
 
 class TestRingOfCliques:
@@ -181,3 +202,31 @@ class TestSbm:
             sbm([4, 4], 1.5, 0.0, 0)
         with pytest.raises(ValueError):
             sbm([0, 4], 1.0, 0.0, 0)
+
+    def test_within_block_pairs_all_present_at_p_in_one(self):
+        g, labels = sbm([5, 1, 7], 1.0, 0.3, 4)
+        a = dense_adjacency(g)
+        same = labels[:, None] == labels[None, :]
+        assert np.all(a[same & ~np.eye(g.n, dtype=bool)] == 1)
+        check_csr_invariants(g)
+
+    def test_edge_count_matches_expectation(self):
+        sizes, p_in, p_out = [200, 200], 0.1, 0.01
+        intra, inter = 2 * 200 * 199 // 2, 200 * 200
+        mean = intra * p_in + inter * p_out
+        sd = np.sqrt(intra * p_in * (1 - p_in) + inter * p_out * (1 - p_out))
+        for seed in range(3):
+            g, labels = sbm(sizes, p_in, p_out, seed)
+            assert abs(g.m - mean) < 5 * sd
+            check_csr_invariants(g)
+
+    def test_memory_is_linear_in_edges(self):
+        # scanning all n(n-1)/2 candidate pairs peaks near 260 MB at n=4000
+        tracemalloc.start()
+        try:
+            g, _ = sbm([2000, 2000], 0.01, 0.001, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m > 0
+        assert peak < 32 * 2**20

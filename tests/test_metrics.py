@@ -93,6 +93,13 @@ class TestConductance:
         labels = np.array([0] * 4 + [1] * 4)
         assert conductance(two_k4s, labels) == 0.0
 
+    def test_empty_and_zero_volume_clusters(self):
+        # labels 1, 2, 4, 5, 6 are empty and skipped; cluster 7 is an isolated node with
+        # zero volume and counts as 0
+        g = from_edge_list([(0, 1), (1, 2), (2, 3)], 5)
+        v = conductance(g, np.array([0, 0, 3, 3, 7]))
+        assert v == 100.0 * float(np.mean([1.0 / 3.0, 1.0 / 3.0, 0.0]))
+
     def test_random_vs_oracle_and_range(self):
         rng = np.random.default_rng(2)
         for _ in range(15):
