@@ -31,7 +31,7 @@ from .dataset import (
 )
 from .graph import Graph, ring_of_cliques, sbm
 from .metrics import evaluate_partition, hard_assign
-from .trainer import TrainConfig, TrainDivergedError, run_seeds
+from .trainer import EpochRecord, TrainConfig, TrainDivergedError, run_seeds
 
 __all__ = ["main"]
 
@@ -39,6 +39,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATASET = 3
 EXIT_DIVERGED = 4
+
+TRACE_FIELDS = [f.name for f in dataclasses.fields(EpochRecord)]
 
 
 def _verbose() -> bool:
@@ -81,18 +83,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     sweep = run_seeds(g, x, config, args.seeds, labels)
     for run in sweep.runs:
-        _log(f"seed {run.seed}: total={run.trace.records[-1].total:.6f} gamma={run.gamma_final:.4f}")
+        _log(f"seed {run.seed}: total={run.trace.records[-1].total:.6f} gamma={run.trace.gamma_final:.4f}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     base = sweep.runs[0]
-    rows = ["epoch,total,potts,collapse,gamma_reg,gamma"]
+    # one column per EpochRecord field; .17g prints the int epoch as its digits
+    rows = [",".join(TRACE_FIELDS)]
     for r in base.trace.records:
-        rows.append(
-            f"{r.epoch},{r.total:.17g},{r.potts:.17g},{r.collapse:.17g},"
-            f"{r.gamma_reg:.17g},{r.gamma:.17g}"
-        )
+        rows.append(",".join(f"{getattr(r, name):.17g}" for name in TRACE_FIELDS))
     write_atomic(out / "trace.csv", "\n".join(rows) + "\n")
 
     pred = hard_assign(base.trace.final_assignment)
@@ -100,7 +100,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     write_atomic(out / "assignment.tsv", "\n".join(assign_lines) + "\n")
 
     payload = {
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "num_seeds": args.seeds,
         "per_seed": [run.summary() for run in sweep.runs],
         "aggregate": {"mean": sweep.mean, "std": sweep.std},

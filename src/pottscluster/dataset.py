@@ -32,7 +32,6 @@ __all__ = [
     "one_hot_degree_features",
     "adjacency_features",
     "feature_matrix",
-    "write_atomic",
 ]
 
 
@@ -172,9 +171,14 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
 
 
 def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
-    """Read a node<TAB>cluster file covering nodes 0..n-1 into a cluster id array."""
+    """Read a node<TAB>cluster file covering nodes 0..n-1 into cluster ids 0..K-1.
+
+    The file's K distinct ids, read as Python ints of any size, map to
+    0..K-1 in increasing order, so the metrics size their tallies by K and
+    not by the largest id. A file whose ids are already 0..K-1 maps to itself.
+    """
     path = Path(path)
-    pred = np.full(n, -1, dtype=np.int64)
+    clusters: list[int | None] = [None] * n
     for lineno, fields in _iter_rows(path, 2):
         node = _parse_int(path.name, lineno, fields[0], "node id")
         cluster = _parse_int(path.name, lineno, fields[1], "cluster id")
@@ -182,13 +186,13 @@ def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
             _fail(path.name, lineno, f"node id {node} out of range for n={n}")
         if cluster < 0:
             _fail(path.name, lineno, f"negative cluster id {cluster}")
-        if pred[node] != -1:
+        if clusters[node] is not None:
             _fail(path.name, lineno, f"duplicate entry for node {node}")
-        pred[node] = cluster
-    missing = np.flatnonzero(pred == -1)
-    if missing.size:
-        raise DatasetFormatError(f"{path.name}: no cluster for node {int(missing[0])}")
-    return pred
+        clusters[node] = cluster
+    if None in clusters:
+        raise DatasetFormatError(f"{path.name}: no cluster for node {clusters.index(None)}")
+    rank = {cluster: i for i, cluster in enumerate(sorted(set(clusters)))}
+    return np.array([rank[cluster] for cluster in clusters], dtype=np.int64)
 
 
 def feature_matrix(x: np.ndarray | sp.spmatrix, n: int) -> sp.csr_matrix:

@@ -8,8 +8,9 @@ model, evaluated in deflated matrix form:
 
 which never materializes the dense null-model matrix d d^T / 2m. Lower is
 better; at gamma=1 and hard C this equals minus the modularity. The DMoN
-baseline fixes gamma at 1; the MinCut baseline optimizes the normalized-cut
-ratio with an orthogonality penalty instead of collapse regularization.
+baseline fixes gamma at DMON_GAMMA = 1; the MinCut baseline optimizes the
+normalized-cut ratio with an orthogonality penalty instead of collapse
+regularization.
 """
 from __future__ import annotations
 
@@ -30,10 +31,12 @@ __all__ = [
     "evaluate_objective",
     "LOSS_KINDS",
     "COLLAPSE_SCALINGS",
+    "DMON_GAMMA",
 ]
 
 LOSS_KINDS = ("potts", "dmon", "mincut_ortho")
 COLLAPSE_SCALINGS = ("sqrtk_over_n", "k_over_sqrtn")
+DMON_GAMMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,14 @@ def _collapse_factor(n: int, k: int, scaling: str) -> float:
     raise ValueError(f"unknown collapse scaling {scaling!r}, expected one of {COLLAPSE_SCALINGS}")
 
 
-def collapse_reg(c: np.ndarray, scaling: str = "sqrtk_over_n"):
+def collapse_reg(c: np.ndarray, scaling: str):
     """Penalty on concentrated cluster mass: factor * ||column sums of C|| - 1.
 
-    The default sqrt(k)/n factor is zero for perfectly balanced columns and
-    sqrt(k)-1 when all mass falls into one cluster; k/sqrt(n) is the
-    alternative scaling selectable via config. Returns (value, dL/dC); every
-    row of the gradient is the same, so it is a read-only broadcast view.
+    With the sqrt(k)/n factor (``sqrtk_over_n``) it is zero for perfectly
+    balanced columns and sqrt(k)-1 when all mass falls into one cluster;
+    ``k_over_sqrtn`` scales by k/sqrt(n) instead. Returns (value, dL/dC);
+    every row of the gradient is the same, so it is a read-only broadcast
+    view.
     """
     c = np.asarray(c, dtype=np.float64)
     n, k = c.shape
@@ -145,16 +149,17 @@ def evaluate_objective(
     gamma: float,
     kind: str,
     *,
-    w_collapse: float = 1.0,
-    w_gamma: float = 0.01,
-    gamma_max: float = 5.0,
-    collapse_scaling: str = "sqrtk_over_n",
+    w_collapse: float,
+    w_gamma: float,
+    gamma_max: float,
+    collapse_scaling: str,
 ):
     """Evaluate one of the training objectives on (g, C, gamma).
 
-    Returns (LossBreakdown, dL/dC, dL/dgamma). The dmon and mincut_ortho
-    objectives do not depend on gamma, so their gamma gradient and
-    gamma_reg term are zero.
+    The keywords are the TrainConfig fields of the same names, which hold
+    their defaults. Returns (LossBreakdown, dL/dC, dL/dgamma). The dmon and
+    mincut_ortho objectives do not depend on gamma, so their gamma gradient
+    and gamma_reg term are zero.
     """
     if kind == "potts":
         structural, d_c_s, d_gamma = potts_loss(g, c, gamma)
@@ -162,7 +167,7 @@ def evaluate_objective(
         g_term, d_g_r = gamma_reg(gamma, gamma_max)
         d_gamma += w_gamma * d_g_r
     elif kind == "dmon":
-        structural, d_c_s, _ = potts_loss(g, c, 1.0)
+        structural, d_c_s, _ = potts_loss(g, c, DMON_GAMMA)
         reg, d_c_r = collapse_reg(c, collapse_scaling)
         g_term = d_gamma = 0.0
     elif kind == "mincut_ortho":

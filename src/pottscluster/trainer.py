@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .dataset import feature_matrix
 from .graph import Graph, normalized_adjacency
-from .losses import COLLAPSE_SCALINGS, LOSS_KINDS, LossBreakdown, evaluate_objective
+from .losses import COLLAPSE_SCALINGS, DMON_GAMMA, LOSS_KINDS, LossBreakdown, evaluate_objective
 from .metrics import MetricsReport, evaluate_partition, hard_assign
 from .model import ModelParams, backward, forward
 
@@ -96,6 +96,11 @@ class TrainConfig:
             raise ValueError("regularizer weights must be non-negative")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}")
+        if self.loss == "dmon" and self.gamma_max < DMON_GAMMA:
+            raise ValueError(
+                f"loss 'dmon' fixes gamma at {DMON_GAMMA}, outside [0, gamma_max={self.gamma_max}];"
+                f" set gamma_max to at least {DMON_GAMMA}"
+            )
         if self.collapse_scaling not in COLLAPSE_SCALINGS:
             raise ValueError(
                 f"unknown collapse_scaling {self.collapse_scaling!r},"
@@ -109,9 +114,6 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**raw)
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 class TrainDivergedError(RuntimeError):
@@ -243,8 +245,8 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
     abar = normalized_adjacency(g)
     params = init_params(x.shape[1], config)
     if config.loss == "dmon":
-        # the baseline pins the resolution at 1; its gamma gradient is zero
-        params.flat[-1] = 1.0
+        # the baseline pins the resolution; its gamma gradient is zero
+        params.flat[-1] = DMON_GAMMA
     state = AdamState.zeros(params)
     dropout = None
     if config.dropout_keep < 1.0:
@@ -288,15 +290,11 @@ class SeedRun:
     trace: RunTrace
     report: MetricsReport
 
-    @property
-    def gamma_final(self) -> float:
-        return self.trace.gamma_final
-
     def summary(self) -> dict[str, Any]:
         """The seed's row of scalars, in the order metrics.json lists them."""
         return {
             "seed": self.seed,
-            "gamma_final": self.gamma_final,
+            "gamma_final": self.trace.gamma_final,
             "total": self.trace.records[-1].total,
             **dataclasses.asdict(self.report),
         }

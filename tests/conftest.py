@@ -1,9 +1,22 @@
 # tests/conftest.py
 from __future__ import annotations
 
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from pottscluster import from_edge_list
+
+# Property tests replay the same examples on every run and keep no example
+# database; a handful of examples each keeps the suite fast.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=30)
+settings.load_profile("tier1")
+# Hypothesis still caches the constants it reads from source files, from
+# collection on; a temporary home, removed at exit, keeps that out of the tree.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

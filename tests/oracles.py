@@ -3,6 +3,7 @@
 
 Everything here recomputes quantities from dense matrices with explicit
 summation, deliberately avoiding the package's deflated/vectorized forms.
+``objective_kw`` gives the objective keywords that TrainConfig defaults.
 """
 from __future__ import annotations
 
@@ -10,6 +11,15 @@ import math
 from collections import Counter
 
 import numpy as np
+
+from pottscluster import TrainConfig
+
+
+def objective_kw(**overrides) -> dict:
+    """evaluate_objective's keywords at TrainConfig's defaults, with ``overrides`` applied."""
+    config = TrainConfig()
+    keys = ("w_collapse", "w_gamma", "gamma_max", "collapse_scaling")
+    return {key: overrides.get(key, getattr(config, key)) for key in keys}
 
 
 def dense_adjacency(g) -> np.ndarray:

@@ -28,6 +28,7 @@ from oracles import (
     modularity_double_sum,
     modularity_tally,
     nmi_oracle,
+    objective_kw,
     potts_double_sum,
     random_edge_list,
     random_row_stochastic,
@@ -93,10 +94,10 @@ def test_criterion_01_full_model_gradients():
             else:
                 getattr(p, name)[...] = value
             c_p, _ = forward(abar, x, p)
-            return evaluate_objective(g, c_p, p.gamma, "potts")[0].total
+            return evaluate_objective(g, c_p, p.gamma, "potts", **objective_kw())[0].total
 
         c, cache = forward(abar, x, params)
-        _, d_c, d_gamma = evaluate_objective(g, c, params.gamma, "potts")
+        _, d_c, d_gamma = evaluate_objective(g, c, params.gamma, "potts", **objective_kw())
         grad = backward(cache, d_c, d_gamma)
         for name in ("w", "w_skip", "w_out"):
             numeric = fd_gradient(

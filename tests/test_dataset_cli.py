@@ -1,6 +1,7 @@
 # tests/test_dataset_cli.py
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import scipy.sparse as sp
 from pottscluster import (
     DatasetFormatError,
     from_edge_list,
+    load_assignment,
     load_dataset,
     ring_of_cliques,
     save_dataset,
@@ -298,7 +300,7 @@ class TestCliTrain:
         assert all(len(line.split("\t")) == 2 for line in assignment)
         metrics = json.loads((out / "metrics.json").read_text())
         from pottscluster import TrainConfig
-        assert set(metrics["config"]) == set(TrainConfig().to_dict())
+        assert set(metrics["config"]) == {f.name for f in dataclasses.fields(TrainConfig)}
         assert metrics["config"]["epochs"] == 30
         assert metrics["num_seeds"] == 1
         assert len(metrics["per_seed"]) == 1
@@ -395,6 +397,14 @@ class TestCliTrain:
                        "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_dmon_with_gamma_max_below_one_exits_2(self, tmp_path, ring_dataset, capsys):
+        cfg = write_config(tmp_path, loss="dmon", gamma_max=0.5, gamma_init=0.2, epochs=3)
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: loss 'dmon' fixes gamma at 1.0") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert run_cli("train", "--data", str(tmp_path / "missing"),
@@ -496,6 +506,34 @@ class TestCliEval:
             assign.write_text(content)
         assert run_cli("eval", "--data", str(ring_dataset), "--assignment", str(assign)) == 3
         assert re.search(msg, capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "ids, by_hand",
+        [
+            ([0, 0, 0, 1, 1, 1, 10**12, 10**12, 10**12], [0, 0, 0, 1, 1, 1, 2, 2, 2]),
+            ([5, 5, 10**30, 10**30, 10**30, 5, 7, 7, 7], [0, 0, 2, 2, 2, 0, 1, 1, 1]),
+            ([4, 4, 9, 9, 9, 0, 0, 0, 4], [1, 1, 2, 2, 2, 0, 0, 0, 1]),
+        ],
+        ids=["1e12", "1e30", "gapped"],
+    )
+    def test_large_and_gapped_ids_score_as_mapped(self, tmp_path, ring_dataset, capsys, ids, by_hand):
+        # ids map to 0..K-1 in increasing order, so metric tallies are sized by K
+        reports = []
+        for name, labels in (("raw.tsv", ids), ("mapped.tsv", by_hand)):
+            self.write_assignment(tmp_path / name, labels)
+            assert run_cli("eval", "--data", str(ring_dataset),
+                           "--assignment", str(tmp_path / name)) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert reports[0] == reports[1]
+        assert load_assignment(tmp_path / "raw.tsv", 9).tolist() == by_hand
+
+    def test_dense_ids_map_to_themselves(self, tmp_path):
+        labels = [2, 0, 1, 1, 3, 0, 2, 3, 3]
+        self.write_assignment(tmp_path / "a.tsv", labels)
+        pred = load_assignment(tmp_path / "a.tsv", 9)
+        assert pred.dtype == np.int64 and pred.tolist() == labels
 
     def test_train_then_eval_pipeline(self, tmp_path, ring_dataset, capsys):
         cfg = write_config(tmp_path, epochs=60, k=4, hidden=8)

@@ -12,6 +12,7 @@ from oracles import (
     fd_scalar,
     hard_c,
     max_rel_err,
+    objective_kw,
     potts_double_sum,
     random_edge_list,
     random_row_stochastic,
@@ -127,7 +128,7 @@ class TestCollapseReg:
         assert max_rel_err(analytic, fd) <= 1e-6
 
     def test_grad_zero_matrix_guard(self):
-        value, d_c = collapse_reg(np.zeros((3, 2)))
+        value, d_c = collapse_reg(np.zeros((3, 2)), "sqrtk_over_n")
         assert value == -1.0
         assert d_c.shape == (3, 2) and not d_c.any()
 
@@ -151,14 +152,16 @@ class TestGammaReg:
 class TestPmnTotal:
     def test_potts_only_weights(self, two_disjoint_edges):
         c = hard_c([0, 0, 1, 1], 2)
-        b, _, _ = evaluate_objective(two_disjoint_edges, c, 1.0, "potts", w_collapse=0.0, w_gamma=0.0)
+        b, _, _ = evaluate_objective(
+            two_disjoint_edges, c, 1.0, "potts", **objective_kw(w_collapse=0.0, w_gamma=0.0)
+        )
         assert b.total == pytest.approx(b.potts, abs=1e-15)
         assert b.total == pytest.approx(-0.5, abs=1e-12)
 
     def test_uniform_balanced_at_gamma_max_is_zero(self, two_k4s):
         # potts vanishes for uniform C only at gamma=1, so pin gamma_max there
         c = np.full((8, 4), 0.25)
-        b, _, _ = evaluate_objective(two_k4s, c, 1.0, "potts", gamma_max=1.0)
+        b, _, _ = evaluate_objective(two_k4s, c, 1.0, "potts", **objective_kw(gamma_max=1.0))
         assert b.total == pytest.approx(0.0, abs=1e-12)
 
     def test_breakdown_identity(self):
@@ -169,14 +172,14 @@ class TestPmnTotal:
             c = random_row_stochastic(rng, n, 4)
             w_c, w_g = rng.uniform(0.1, 2.0, size=2)
             b, _, _ = evaluate_objective(
-                g, c, float(rng.uniform(0, 5)), "potts", w_collapse=w_c, w_gamma=w_g
+                g, c, float(rng.uniform(0, 5)), "potts", **objective_kw(w_collapse=w_c, w_gamma=w_g)
             )
             recomputed = b.potts + w_c * b.collapse + w_g * b.gamma_reg
             assert b.total == pytest.approx(recomputed, abs=1e-12)
 
 
 def dmon_structural(g, c):
-    return evaluate_objective(g, c, 3.0, "dmon")[0].potts
+    return evaluate_objective(g, c, 3.0, "dmon", **objective_kw())[0].potts
 
 
 class TestDmonLoss:
@@ -238,11 +241,11 @@ class TestMinCutOrtho:
 class TestEvaluateObjective:
     def test_unknown_kind_rejected(self, two_k3s):
         with pytest.raises(ValueError, match="kind"):
-            evaluate_objective(two_k3s, np.full((6, 2), 0.5), 1.0, "banana")
+            evaluate_objective(two_k3s, np.full((6, 2), 0.5), 1.0, "banana", **objective_kw())
 
     def test_dmon_has_no_gamma_terms(self, two_k3s):
         c = np.full((6, 2), 0.5)
-        b, d_c, d_gamma = evaluate_objective(two_k3s, c, 3.0, "dmon")
+        b, d_c, d_gamma = evaluate_objective(two_k3s, c, 3.0, "dmon", **objective_kw())
         assert b.gamma_reg == 0.0
         assert d_gamma == 0.0
         # structural term ignores the gamma argument entirely
@@ -250,7 +253,7 @@ class TestEvaluateObjective:
 
     def test_mincut_ortho_slots(self, two_k3s):
         c = hard_c([0, 0, 0, 1, 1, 1], 2)
-        b, _, _ = evaluate_objective(two_k3s, c, 2.0, "mincut_ortho")
+        b, _, _ = evaluate_objective(two_k3s, c, 2.0, "mincut_ortho", **objective_kw())
         assert b.potts == pytest.approx(mincut_loss(two_k3s, c)[0], abs=1e-15)
         assert b.collapse == pytest.approx(ortho_reg(c)[0], abs=1e-15)
         assert b.gamma_reg == 0.0
@@ -259,26 +262,29 @@ class TestEvaluateObjective:
         rng = np.random.default_rng(10)
         c = random_row_stochastic(rng, 8, 3)
         w_c, w_g = 0.7, 0.02
-        b, d_c, d_gamma = evaluate_objective(two_k4s, c, 2.0, "potts", w_collapse=w_c, w_gamma=w_g)
+        b, d_c, d_gamma = evaluate_objective(
+            two_k4s, c, 2.0, "potts", **objective_kw(w_collapse=w_c, w_gamma=w_g)
+        )
         _, d_c_potts, d_g_potts = potts_loss(two_k4s, c, 2.0)
-        expected_dc = d_c_potts + w_c * collapse_reg(c)[1]
+        expected_dc = d_c_potts + w_c * collapse_reg(c, "sqrtk_over_n")[1]
         assert np.allclose(d_c, expected_dc, atol=1e-15)
         assert d_gamma == pytest.approx(d_g_potts + w_g * gamma_reg(2.0, 5.0)[1], abs=1e-15)
 
     def test_full_gradient_matches_fd(self):
         rng = np.random.default_rng(11)
         g = from_edge_list(random_edge_list(rng, 8, 0.5), 8)
+        kw = objective_kw()
         for kind in ("potts", "dmon", "mincut_ortho"):
             c = random_row_stochastic(rng, 8, 4)
-            b, d_c, d_gamma = evaluate_objective(g, c, 1.4, kind)
-            fd = fd_gradient(lambda t: evaluate_objective(g, t, 1.4, kind)[0].total, c)
+            b, d_c, d_gamma = evaluate_objective(g, c, 1.4, kind, **kw)
+            fd = fd_gradient(lambda t: evaluate_objective(g, t, 1.4, kind, **kw)[0].total, c)
             assert max_rel_err(d_c, fd) <= 1e-6, kind
-            fd_g = fd_scalar(lambda v: evaluate_objective(g, c, v, kind)[0].total, 1.4)
+            fd_g = fd_scalar(lambda v: evaluate_objective(g, c, v, kind, **kw)[0].total, 1.4)
             assert d_gamma == pytest.approx(fd_g, abs=1e-7)
 
     def test_breakdown_dataclass_fields(self, two_disjoint_edges):
         c = hard_c([0, 0, 1, 1], 2)
-        b, d_c, d_gamma = evaluate_objective(two_disjoint_edges, c, 1.0, "potts")
+        b, d_c, d_gamma = evaluate_objective(two_disjoint_edges, c, 1.0, "potts", **objective_kw())
         assert isinstance(b, LossBreakdown)
         # default weights: w_collapse 1.0, w_gamma 0.01
         assert b.total == b.potts + 1.0 * b.collapse + 0.01 * b.gamma_reg

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import fd_gradient, fd_scalar, max_rel_err, random_edge_list
+from oracles import fd_gradient, fd_scalar, max_rel_err, objective_kw, random_edge_list
 from pottscluster import from_edge_list, normalized_adjacency
 from pottscluster.losses import evaluate_objective
 from pottscluster.model import (
@@ -207,12 +207,12 @@ class TestBackward:
     def test_full_objective_gradient_matches_fd(self):
         g, abar, x, params = make_instance(12)
         c, cache = forward(abar, x, params)
-        _, d_c, d_gamma = evaluate_objective(g, c, params.gamma, "potts")
+        _, d_c, d_gamma = evaluate_objective(g, c, params.gamma, "potts", **objective_kw())
         b = backward(cache, d_c, d_gamma)
 
         def total_with(p: ModelParams) -> float:
             cc, _ = forward(abar, x, p)
-            return evaluate_objective(g, cc, p.gamma, "potts")[0].total
+            return evaluate_objective(g, cc, p.gamma, "potts", **objective_kw())[0].total
 
         for name in ("w", "w_skip", "w_out"):
             fd = fd_gradient(
@@ -220,7 +220,7 @@ class TestBackward:
             )
             assert max_rel_err(getattr(b, name), fd) <= 1e-4
         fd_g = fd_scalar(
-            lambda v: evaluate_objective(g, c, v, "potts")[0].total, params.gamma
+            lambda v: evaluate_objective(g, c, v, "potts", **objective_kw())[0].total, params.gamma
         )
         assert abs(b.gamma - fd_g) <= 1e-6 * max(1.0, abs(fd_g))
 

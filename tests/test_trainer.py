@@ -1,6 +1,8 @@
 # tests/test_trainer.py
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -54,11 +56,16 @@ class TestTrainConfig:
             {"loss": 1},
             {"learning_rate": float("nan")},
             {"gamma_max": float("inf")},
+            {"loss": "dmon", "gamma_max": 0.5, "gamma_init": 0.2},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_dmon_accepts_gamma_max_of_one(self):
+        # dmon records gamma 1, which must lie inside the clamp [0, gamma_max]
+        assert TrainConfig(loss="dmon", gamma_max=1.0, gamma_init=0.2).gamma_max == 1.0
 
     def test_int_accepted_for_float_fields_without_coercion(self):
         cfg = TrainConfig(gamma_init=0, learning_rate=1)
@@ -66,7 +73,7 @@ class TestTrainConfig:
 
     def test_from_dict_roundtrip(self):
         cfg = TrainConfig(seed=3, k=4, epochs=10)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config keys: momentum"):
