@@ -5,8 +5,10 @@ The archive is expected to hold CSR blocks named adj_data / adj_indices /
 adj_indptr / adj_shape and attr_data / attr_indices / attr_indptr /
 attr_shape plus a labels vector, which is the layout most published
 citation-network dumps use. The output directory follows the meta.json /
-edges.tsv / features.tsv / labels.tsv convention the loader expects; the
-adjacency is symmetrized and self-loops are dropped on the way through.
+edges.tsv / features.tsv / labels.tsv convention the loader expects. Every
+stored nonzero of the adjacency, whatever its weight or sign, becomes an
+undirected edge; arcs stored in both directions merge and self-loops are
+dropped.
 
 Usage:
     python scripts/convert_npz_dataset.py cora.npz data/cora
@@ -49,9 +51,8 @@ def main(argv=None) -> int:
         raise ValueError(
             f"inconsistent shapes: adj {adj.shape}, attr {attr.shape}, labels {labels.shape}"
         )
-    coo = adj.maximum(adj.T).tocoo()  # edge weights collapse to plain edges
-    edges = [(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v]
-    g = from_edge_list(edges, n)
+    # every stored nonzero arc is an edge; from_edge_list merges orientations
+    g = from_edge_list(np.column_stack(adj.nonzero()), n)
     save_dataset(args.out, g, attr, labels)
     print(
         f"wrote {args.out}: n={g.n} m={g.m} "

@@ -174,8 +174,8 @@ def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
     """Read a node<TAB>cluster file covering nodes 0..n-1 into cluster ids 0..K-1.
 
     The file's K distinct ids, read as Python ints of any size, map to
-    0..K-1 in increasing order, so the metrics size their tallies by K and
-    not by the largest id. A file whose ids are already 0..K-1 maps to itself.
+    0..K-1 in increasing order, as ``evaluate_partition`` maps them, so ids
+    past the int64 range load too. Ids already 0..K-1 map to themselves.
     """
     path = Path(path)
     clusters: list[int | None] = [None] * n

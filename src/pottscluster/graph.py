@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,12 +18,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph in CSR form.
+    """Undirected simple graph in CSR form; ``adj`` is its unit-weight adjacency.
 
-    Every edge is stored in both directions, so ``len(col_idx) == 2*m``.
-    Within each row the column indices are sorted ascending, free of
-    duplicates and self-loops. ``degrees[i]`` equals the length of row i.
-    Instances are immutable and safe to share across threads.
+    ``row_ptr`` and ``col_idx`` are ``adj.indptr`` and ``adj.indices``, in
+    scipy's index dtype (int32 below 2**31 arcs). Every edge is stored in
+    both directions, so ``len(col_idx) == 2*m``. Each row's column indices
+    are sorted ascending, free of duplicates and self-loops, and
+    ``degrees[i]`` is the row's length. Instances are immutable and safe to
+    share across threads.
     """
 
     n: int
@@ -32,16 +33,11 @@ class Graph:
     col_idx: np.ndarray
     m: int
     degrees: np.ndarray
-
-    @cached_property
-    def adj(self) -> sp.csr_matrix:
-        """Adjacency as a scipy CSR matrix with unit weights, on this graph's arrays."""
-        data = np.ones(self.col_idx.shape[0], dtype=np.float64)
-        return sp.csr_matrix((data, self.col_idx, self.row_ptr), shape=(self.n, self.n))
+    adj: sp.csr_matrix
 
     def arc_sources(self) -> np.ndarray:
         """Source node of every stored arc (row index expanded along row_ptr)."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_ptr))
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
 
 def from_edge_list(edges, n: int) -> Graph:
@@ -58,28 +54,16 @@ def from_edge_list(edges, n: int) -> Graph:
         bad = arr[(arr < 0).any(axis=1) | (arr >= n).any(axis=1)][0]
         raise ValueError(f"edge ({bad[0]},{bad[1]}) out of bounds for n={n}")
 
-    u, v = arr[:, 0], arr[:, 1]
-    keep = u != v
-    a = np.minimum(u[keep], v[keep])
-    b = np.maximum(u[keep], v[keep])
-    # encode (a,b) with a < b into a single key for deduplication
-    key = np.unique(a * n + b)
-    a, b = key // n, key % n
-    m = int(a.shape[0])
-
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-
-    degrees = np.bincount(src, minlength=n).astype(np.int64)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=row_ptr[1:])
-    return Graph(n=n, row_ptr=row_ptr, col_idx=dst, m=m, degrees=degrees)
+    u, v = arr[arr[:, 0] != arr[:, 1]].T
+    arcs = np.concatenate([u, v]), np.concatenate([v, u])
+    # the COO -> CSR conversion sums repeated arcs and sorts each row
+    adj = sp.csr_matrix((np.ones(2 * u.size), arcs), shape=(n, n))
+    adj.data[:] = 1.0
+    return Graph(n, adj.indptr, adj.indices, adj.nnz // 2, np.diff(adj.indptr), adj)
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
-    """Abar = D^{-1/2} A D^{-1/2} as a CSR matrix on the structure of ``g``.
+    """Abar = D^{-1/2} A D^{-1/2} as a CSR matrix sharing the index arrays of ``g``.
 
     The stored value for arc (u, v) is 1/sqrt(d_u * d_v). Isolated nodes keep
     empty rows; no self-loop augmentation is applied.

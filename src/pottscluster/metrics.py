@@ -151,13 +151,12 @@ class MetricsReport:
 
 
 def evaluate_partition(g: Graph, pred: np.ndarray, truth: np.ndarray | None = None) -> MetricsReport:
-    """Score a hard partition of g, optionally against ground-truth labels."""
-    pred = _check_labels(g, pred)
-    report = MetricsReport(
+    """Score a hard partition of g, its ids mapped to 0..K-1 in order, optionally against truth."""
+    clusters, pred = np.unique(_check_labels(g, pred), return_inverse=True)
+    return MetricsReport(
         modularity=modularity(g, pred),
         conductance=conductance(g, pred),
-        num_clusters=int(np.unique(pred).size),
+        num_clusters=clusters.size,
         nmi=None if truth is None else nmi(pred, truth),
         pairwise_f1=None if truth is None else pairwise_f1(pred, truth),
     )
-    return report

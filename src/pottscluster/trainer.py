@@ -4,10 +4,10 @@
 A run is a pure function of (graph, features, config): weight init draws
 from ``default_rng(seed)`` and the dropout stream from
 ``default_rng([seed, 1])``, one n x l block of uniforms per epoch whatever
-the sparsity of the features, so repeating a run reproduces every float bit
-for bit. Optimization is plain Adam over one vector holding the three weight
-matrices and the scalar resolution gamma, which is clamped to
-[0, gamma_max] after each step.
+the sparsity of the features (none at ``dropout_keep`` 1.0), so repeating
+a run reproduces every float bit for bit. Optimization is plain Adam over
+one vector holding the three weight matrices and the scalar resolution
+gamma, which is clamped to [0, gamma_max] after each step.
 """
 from __future__ import annotations
 
@@ -168,12 +168,12 @@ class AdamState:
 
 
 def init_params(num_features: int, config: TrainConfig) -> ModelParams:
-    """Standard-normal weight init; draw order is w, w_skip, w_out."""
+    """Standard-normal weight init, drawn in the order w, w_skip, w_out, and the starting gamma."""
     rng = np.random.default_rng(config.seed)
     params = ModelParams(num_features, config.hidden, config.k)
     for view in (params.w, params.w_skip, params.w_out):
         view[...] = rng.standard_normal(view.shape)
-    params.flat[-1] = config.gamma_init
+    params.flat[-1] = DMON_GAMMA if config.loss == "dmon" else config.gamma_init
     return params
 
 
@@ -208,10 +208,11 @@ class FeatureDropout:
     Each draw takes uniforms for all n x l entries from ``rng``, as a dense
     mask would, and keeps those at the stored positions. Masking a zero is a
     no-op, so the stored values come out bit for bit as the dense
-    ``x * mask`` on the same stream. The dropped-out matrix and its
-    transpose, a CSC view sharing its ``.data``, are built once and each
-    draw overwrites ``.data`` in place: building both costs about 45 us,
-    a tenth of a sub-millisecond epoch on a small graph.
+    ``x * mask`` on the same stream; at ``keep == 1.0`` a draw leaves x and
+    ``rng`` untouched. The dropped-out matrix and its transpose, a CSC view
+    sharing its ``.data``, are built once and each draw overwrites ``.data``
+    in place: building both costs about 45 us, a tenth of a sub-millisecond
+    epoch on a small graph.
     """
 
     def __init__(self, x: sp.csr_matrix, keep: float, rng: np.random.Generator):
@@ -224,9 +225,10 @@ class FeatureDropout:
 
     def draw(self) -> sp.csr_matrix:
         """Apply a fresh mask to x, returning ``dropped``; ``dropped_t`` follows it."""
-        self.rng.random(out=self.uniforms)
-        mask = (self.uniforms.take(self.stored) < self.keep).astype(np.float64) / self.keep
-        np.multiply(self.x.data, mask, out=self.dropped.data)
+        if self.keep < 1.0:
+            self.rng.random(out=self.uniforms)
+            mask = (self.uniforms.take(self.stored) < self.keep).astype(np.float64) / self.keep
+            np.multiply(self.x.data, mask, out=self.dropped.data)
         return self.dropped
 
 
@@ -241,16 +243,10 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
     records.
     """
     x = feature_matrix(x, g.n)
-    x_t = x.T
     abar = normalized_adjacency(g)
     params = init_params(x.shape[1], config)
-    if config.loss == "dmon":
-        # the baseline pins the resolution; its gamma gradient is zero
-        params.flat[-1] = DMON_GAMMA
     state = AdamState.zeros(params)
-    dropout = None
-    if config.dropout_keep < 1.0:
-        dropout = FeatureDropout(x, config.dropout_keep, np.random.default_rng([config.seed, 1]))
+    dropout = FeatureDropout(x, config.dropout_keep, np.random.default_rng([config.seed, 1]))
     objective_kw = dict(
         w_collapse=config.w_collapse,
         w_gamma=config.w_gamma,
@@ -258,17 +254,14 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
         collapse_scaling=config.collapse_scaling,
     )
 
-    c0, _ = forward(abar, x, params, x_t)
+    c0, _ = forward(abar, x, params)
     first, _, _ = evaluate_objective(g, c0, params.gamma, config.loss, **objective_kw)
     records = [EpochRecord.of(0, first, params.gamma)]
     if not np.isfinite(first.total):
         raise TrainDivergedError(0, first)
 
     for epoch in range(1, config.epochs + 1):
-        if dropout is None:
-            c, cache = forward(abar, x, params, x_t)
-        else:
-            c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t)
+        c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t)
         breakdown, d_c, d_gamma = evaluate_objective(
             g, c, params.gamma, config.loss, **objective_kw
         )
@@ -278,7 +271,7 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
         adam_step(params, grads, state, config.learning_rate, config.gamma_max)
         records.append(EpochRecord.of(epoch, breakdown, params.gamma))
 
-    c_final, _ = forward(abar, x, params, x_t)
+    c_final, _ = forward(abar, x, params)
     return RunTrace(records=records, final_params=params, final_assignment=c_final)
 
 

@@ -546,6 +546,24 @@ class TestCliEval:
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"modularity", "conductance", "num_clusters", "nmi", "pairwise_f1"}
 
+    def test_eval_of_written_assignment_equals_metrics_row(self, tmp_path, capsys):
+        # this run leaves cluster ids unused below its largest one, where
+        # scoring the raw argmax ids summed over the empty clusters too
+        g, labels = ring_of_cliques(3, 3)
+        save_dataset(tmp_path / "data", g, adjacency_features(g), labels)
+        cfg = write_config(tmp_path, epochs=30, seed=1)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", str(tmp_path / "data"), "--config", str(cfg),
+                       "--out", str(out)) == 0
+        ids = {int(line.split("\t")[1]) for line in (out / "assignment.tsv").read_text().splitlines()}
+        assert max(ids) + 1 > len(ids)
+        capsys.readouterr()
+        assert run_cli("eval", "--data", str(tmp_path / "data"),
+                       "--assignment", str(out / "assignment.tsv")) == 0
+        report = json.loads(capsys.readouterr().out)
+        row = json.loads((out / "metrics.json").read_text())["per_seed"][0]
+        assert report == {key: row[key] for key in report}
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
@@ -581,14 +599,7 @@ class TestConsoleScript:
 
 
 class TestConvertScript:
-    def test_npz_archive_roundtrip(self, tmp_path):
-        import scipy.sparse as sp
-
-        # directed triangle plus an isolated node; converter must symmetrize
-        adj = sp.csr_matrix(
-            np.array([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 0]], dtype=float)
-        )
-        attr = sp.csr_matrix(np.array([[1.5, 0], [0, 2.0], [0, 0], [3.25, 0]]))
+    def convert(self, tmp_path, adj, attr, labels):
         archive = tmp_path / "toy.npz"
         np.savez(
             archive,
@@ -596,7 +607,7 @@ class TestConvertScript:
             adj_indptr=adj.indptr, adj_shape=np.array(adj.shape),
             attr_data=attr.data, attr_indices=attr.indices,
             attr_indptr=attr.indptr, attr_shape=np.array(attr.shape),
-            labels=np.array([0, 0, 1, 1]),
+            labels=np.array(labels),
         )
         script = ROOT / "scripts" / "convert_npz_dataset.py"
         out = tmp_path / "toy"
@@ -607,7 +618,32 @@ class TestConvertScript:
             env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        g, x, labels = load_dataset(out)
+        return load_dataset(out)
+
+    def test_npz_archive_roundtrip(self, tmp_path):
+        # directed triangle plus an isolated node; converter must symmetrize
+        adj = sp.csr_matrix(
+            np.array([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 0]], dtype=float)
+        )
+        attr = sp.csr_matrix(np.array([[1.5, 0], [0, 2.0], [0, 0], [3.25, 0]]))
+        g, x, labels = self.convert(tmp_path, adj, attr, [0, 0, 1, 1])
         assert g.n == 4 and g.m == 3
         assert np.array_equal(x.toarray(), np.array([[1.5, 0], [0, 2.0], [0, 0], [3.25, 0]]))
         assert labels.tolist() == [0, 0, 1, 1]
+
+    def test_every_stored_arc_is_one_edge(self, tmp_path):
+        # a weighted arc 0->1, the arc 1-2 stored both ways, a self-loop at 2,
+        # and an arc 3->4 stored only with a negative weight
+        adj = sp.csr_matrix(np.array([
+            [0, 2.5, 0, 0, 0],
+            [0, 0, 1, 0, 0],
+            [0, 1, 3, 0, 0],
+            [0, 0, 0, 0, -1],
+            [0, 0, 0, 0, 0],
+        ]))
+        g, _, _ = self.convert(tmp_path, adj, sp.csr_matrix(np.ones((5, 1))), [0, 0, 0, 1, 1])
+        src = g.arc_sources()
+        assert set(zip(src.tolist(), g.col_idx.tolist())) == {
+            (0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3)
+        }
+        assert g.m == 3

@@ -61,9 +61,8 @@ class TestFromEdgeList:
 class TestAdjacencyMatrices:
     def test_adj_is_unit_csr_on_graph_arrays(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
-        assert sp.isspmatrix_csr(g.adj) and g.adj is g.adj
-        assert np.array_equal(g.adj.indptr, g.row_ptr)
-        assert np.array_equal(g.adj.indices, g.col_idx)
+        assert sp.isspmatrix_csr(g.adj)
+        assert g.adj.indptr is g.row_ptr and g.adj.indices is g.col_idx
         assert np.array_equal(g.adj.toarray(), dense_adjacency(g))
 
     def test_normalized_shares_graph_structure(self):

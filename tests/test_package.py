@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import importlib
+import sys
+from pathlib import Path
+
+import pytest
 
 import pottscluster
 
@@ -43,3 +47,15 @@ def test_library_use_names_import_from_package():
         spmm,
         train,
     )
+
+
+def test_version_is_stated_once():
+    # pyproject.toml reads the version from the package instead of repeating it
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    assert "version" not in meta["project"] and meta["project"]["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "pottscluster.__version__"}

@@ -6,18 +6,25 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import fd_gradient, fd_scalar, max_rel_err, objective_kw
-from pottscluster import evaluate_objective, from_edge_list, load_dataset, potts_loss, save_dataset
+from pottscluster import (
+    evaluate_objective,
+    from_edge_list,
+    load_dataset,
+    normalized_adjacency,
+    potts_loss,
+    save_dataset,
+)
 
 
 @st.composite
 def raw_graphs(draw, min_n=1, max_n=10):
     """(n, edge list) with self-loops, duplicates in both orientations, and often isolated nodes."""
     n = draw(st.integers(min_n, max_n))
-    node = st.integers(0, n - 1)
+    node = st.integers(0, max(n - 1, 0))  # unused at n = 0, where max_size is 0
     edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
     return n, edges
 
@@ -38,6 +45,25 @@ def row_stochastic(seed: int, n: int, k: int) -> np.ndarray:
 
 def edge_set(edges) -> set[tuple[int, int]]:
     return {(min(u, v), max(u, v)) for u, v in edges if u != v}
+
+
+@given(graph=raw_graphs(min_n=0))
+@example(graph=(0, []))
+def test_from_edge_list_matches_brute_force(graph):
+    n, edges = graph
+    pairs = edge_set(edges)
+    rows = [sorted(b if a == u else a for a, b in pairs if u in (a, b)) for u in range(n)]
+    g = from_edge_list(edges, n)
+    assert g.n == n and g.m == len(pairs)
+    assert g.degrees.tolist() == [len(row) for row in rows]
+    assert g.row_ptr.tolist() == np.cumsum([0] + [len(row) for row in rows]).tolist()
+    assert g.col_idx.tolist() == [v for row in rows for v in row]
+    # one set of index arrays: the graph's, its adjacency's and Abar's
+    assert (g.adj.data == 1.0).all() and g.adj.shape == (n, n)
+    assert g.adj.indptr is g.row_ptr and g.adj.indices is g.col_idx
+    abar = normalized_adjacency(g)
+    assert np.shares_memory(abar.indptr, g.row_ptr)
+    assert g.m == 0 or np.shares_memory(abar.indices, g.col_idx)  # empty arrays share nothing
 
 
 values = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))

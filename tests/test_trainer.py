@@ -95,6 +95,10 @@ class TestInitParams:
         assert init_params(3, TrainConfig()).gamma == 1.0
         assert init_params(3, TrainConfig(gamma_init=2.5)).gamma == 2.5
 
+    @pytest.mark.parametrize("gamma_init", [0.2, 2.0])
+    def test_dmon_gamma_starts_pinned(self, gamma_init):
+        assert init_params(3, TrainConfig(loss="dmon", gamma_init=gamma_init)).gamma == 1.0
+
     def test_standard_normal_statistics(self):
         p = init_params(64, TrainConfig(seed=0, hidden=64))
         assert -0.2 < p.w.mean() < 0.2
@@ -216,6 +220,15 @@ class TestFeatureDropout:
             assert np.array_equal(dropout.dropped_t.toarray(), expected.T)
         assert ours.random() == ref.random()
         assert np.array_equal(x.toarray(), dense)
+
+    def test_keep_one_draws_nothing(self):
+        x = sp.random(30, 40, density=0.1, format="csr", random_state=np.random.default_rng(0))
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        dropout = FeatureDropout(x, 1.0, rng)
+        for _ in range(2):
+            assert np.array_equal(dropout.draw().data, x.data)
+        assert rng.bit_generator.state == state
 
 
 @pytest.fixture
