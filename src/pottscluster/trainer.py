@@ -2,10 +2,12 @@
 """Training loop for the clustering encoder.
 
 A run is a pure function of (graph, features, config): weight init draws
-from ``default_rng(seed)`` and the dropout stream from
-``default_rng([seed, 1])``, one n x l block of uniforms per epoch whatever
-the sparsity of the features (none at ``dropout_keep`` 1.0), so repeating
-a run reproduces every float bit for bit. Optimization is plain Adam over
+from ``default_rng(seed)`` and dropout from ``default_rng([seed, 1])``,
+which advances by n x l uniforms per epoch whatever the sparsity of the
+features (by none at ``dropout_keep`` 1.0). Only the uniforms at stored
+feature entries are computed, so repeating a run reproduces every float
+bit for bit, and dense and sparse features of the same values train
+alike. Optimization is plain Adam over
 one vector holding the three weight matrices and the scalar resolution
 gamma, which is clamped to [0, gamma_max] after each step.
 """
@@ -202,33 +204,170 @@ def adam_step(
     params.flat[-1] = min(max(params.flat[-1], 0.0), gamma_max)
 
 
+# numpy's PCG64 steps its 128-bit state s <- a*s + inc (mod 2^128), then
+# outputs the XSL-RR of the new state; random() is (output >> 11) * 2^-53.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# uint64 operands for the limb arithmetic: a Python int operand costs a
+# conversion on every call, about a quarter of a small draw's time
+_U16, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (16, 32, 58, 63, 64))
+_LIMB = np.uint64(0xFFFF)
+
+
+def _limbs(*values: int, bits: int = 16) -> np.ndarray:
+    """The little-endian ``bits``-bit limbs of 128-bit integers.
+
+    Returns uint64 of shape (128 // bits, len(values)).
+    """
+    raw = b"".join(v.to_bytes(16, "little") for v in values)
+    return np.frombuffer(raw, dtype=f"<u{bits // 8}").reshape(len(values), -1).T.astype(np.uint64)
+
+
+def _mul_add(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """acc <- x * y + acc mod 2^128, elementwise over uint64 limb arrays; returns ``acc``.
+
+    ``x`` has 32-bit limbs (4, ...); ``y`` and ``acc`` have 16-bit limbs
+    (8, ...), and ``acc`` has the full broadcast shape. A position sums at
+    most four limb products below 2^48, so nothing overflows before the
+    carry.
+    """
+    prod = np.empty_like(acc)
+    for i in range(4):
+        rows = 8 - 2 * i
+        np.multiply(x[i], y[:rows], out=prod[:rows])
+        acc[2 * i :] += prod[:rows]
+    for t in range(7):
+        acc[t + 1] += acc[t] >> _U16
+    acc &= _LIMB
+    return acc
+
+
+def _affine_powers(a: int, c: int, count: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Powers of T(s) = a s + c (mod 2^128) up to T^(count - 1), by doubling.
+
+    Returns the 16-bit limbs (8, 2, count) of (A_m, C_m), where
+    T^m(s) = A_m s + C_m, and the coefficients of T^size for the first
+    power of two ``size`` at or above ``count``. The entries for m + size
+    are those for m mapped once more through T^size.
+    """
+    table = _limbs(1, 0)[:, :, None]
+    while table.shape[2] < count:
+        step = np.zeros_like(table)
+        step[:, 1] = _limbs(c)
+        _mul_add(_limbs(a, bits=32)[:, :, None], table, step)
+        table = np.concatenate([table, step], axis=2)
+        a, c = a * a & _MASK128, (a * c + c) & _MASK128
+    return table[:, :, :count], (a, c)
+
+
+def _state_basis() -> np.ndarray:
+    """(9, 48): the 16-bit limbs of a state s, then a constant 1, times this give m (4, 12).
+
+    ``m @ column`` for a table column (A's eight 16-bit limbs, C's four
+    32-bit chunks) gives the pre-carry 32-bit chunks of A*s + C: chunk c
+    gathers limb i of A times limbs 2c-i and, weighted 2^16, 2c+1-i of s,
+    and adds C's chunk c. Every chunk stays below 2^52, so float64 sums
+    are exact in any order.
+    """
+    basis = np.zeros((9, 4, 12))
+    for c in range(4):
+        basis[8, c, 8 + c] = 1.0
+        for i in range(8):
+            for k, weight in ((2 * c - i, 1.0), (2 * c + 1 - i, 65536.0)):
+                if 0 <= k < 8:
+                    basis[k, c, i] = weight
+    return basis.reshape(9, 48)
+
+
+_STATE_BASIS = _state_basis()
+
+
+def _pcg64_outputs(table: np.ndarray, state: int) -> np.ndarray:
+    """PCG64 outputs at the columns of ``table`` (see FeatureDropout) from the draw's start."""
+    limbs = np.frombuffer((state | 1 << 128).to_bytes(18, "little"), dtype="<u2")
+    u = ((limbs @ _STATE_BASIS).reshape(4, 12) @ table).astype(np.uint64)
+    lo, hi = u[0::2] + (u[1::2] << _U32)
+    hi += ((u[0] >> _U32) + u[1]) >> _U32  # the carry out of lo
+    xored, rot = hi ^ lo, hi >> _U58
+    return (xored >> rot) | (xored << ((_U64 - rot) & _U63))
+
+
 class FeatureDropout:
     """Inverted dropout on the stored entries of a CSR feature matrix.
 
-    Each draw takes uniforms for all n x l entries from ``rng``, as a dense
-    mask would, and keeps those at the stored positions. Masking a zero is a
-    no-op, so the stored values come out bit for bit as the dense
-    ``x * mask`` on the same stream; at ``keep == 1.0`` a draw leaves x and
-    ``rng`` untouched. The dropped-out matrix and its transpose, a CSC view
-    sharing its ``.data``, are built once and each draw overwrites ``.data``
-    in place: building both costs about 45 us, a tenth of a sub-millisecond
-    epoch on a small graph.
+    Each draw advances ``rng`` by n x l steps, as a dense n x l block of
+    uniforms would, but computes only the uniforms at the stored positions,
+    and keeps an entry where its uniform is below ``keep``. Masking a zero
+    is a no-op, so dense and sparse features of the same values train bit
+    for bit alike, as the dense ``x * mask`` on the same stream; at
+    ``keep == 1.0`` a draw leaves x and ``rng`` untouched.
+
+    The uniform at row-major position p of a draw comes from the PCG64 state
+    T^{p+1}(s) = A_{p+1} s + C_{p+1} (mod 2^128), where s is the state
+    before the draw, T(s) = a s + inc is the generator's step, and A_j and
+    C_j do not depend on s. The constructor computes (A, C) for every stored
+    entry once, from tables of T's powers at the low and high halves of j's
+    bits, in O(nnz + sqrt(n l)) time and memory; a draw is then one exact
+    float64 matmul of 16-bit limbs and a few integer operations per entry.
+    The table holds 96 bytes per stored entry (A in eight 16-bit limbs, C in
+    four 32-bit chunks, all float64), so features denser than 1/12 hold more
+    than the dense block of 8-byte uniforms would. The constructor checks
+    the first, a middle and the last stored uniform against a copy of the
+    generator and raises ``RuntimeError`` on a mismatch; a bit generator
+    other than PCG64 raises ``TypeError``.
+
+    The dropped-out matrix and its transpose, a CSC view sharing its
+    ``.data``, are built once and each draw overwrites ``.data`` in place:
+    building both costs about 45 us, a tenth of a sub-millisecond epoch on
+    a small graph.
     """
 
     def __init__(self, x: sp.csr_matrix, keep: float, rng: np.random.Generator):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            name = type(rng.bit_generator).__name__
+            raise TypeError(f"dropout needs a PCG64 generator, got {name}")
         self.x, self.keep, self.rng = x, keep, rng
-        self.uniforms = np.empty(x.shape)
-        rows = np.repeat(np.arange(x.shape[0], dtype=np.int64), np.diff(x.indptr))
-        self.stored = rows * x.shape[1] + x.indices  # row-major positions of x.data
         self.dropped = x.copy()
         self.dropped_t = self.dropped.T
+        if keep == 1.0:
+            return
+        self.block = x.shape[0] * x.shape[1]
+        # a uniform u = (out >> 11) * 2^-53 is below keep iff out < ceil(keep * 2^53) << 11
+        self.threshold = np.uint64(math.ceil(keep * 2.0**53) << 11)
+        rows = np.repeat(np.arange(x.shape[0], dtype=np.int64), np.diff(x.indptr))
+        j = rows * x.shape[1] + x.indices + 1  # steps from the draw's start to each stored uniform
+        state = rng.bit_generator.state["state"]
+        b = (self.block.bit_length() + 1) // 2
+        low, stride = _affine_powers(_PCG64_MULT, state["inc"], 1 << b)  # stride is T^(2^b)
+        high, _ = _affine_powers(*stride, (self.block >> b) + 1)
+        low, high = low.take(j & ((1 << b) - 1), axis=2), high.take(j >> b, axis=2)
+        # T^j = T^(high part) after T^(low part): A = A_h A_l and C = A_h C_l + C_h, so
+        # A_h in 32-bit limbs multiplies the low pair, and (0, C_h) is the addend
+        a_high = high[1::2, 0] << _U16 | high[0::2, 0]
+        high[:, 0] = 0
+        ac = _mul_add(a_high[:, None], low, high)
+        self.table = np.empty((12, j.size))
+        self.table[:8] = ac[:, 0]
+        self.table[8:] = ac[1::2, 1] << _U16 | ac[0::2, 1]
+        # the kernel rests on numpy internals: check it against copies of the generator
+        picked = [0, j.size // 2, j.size - 1] if j.size else []
+        ours = (_pcg64_outputs(self.table[:, picked], state["state"]) >> 11) * 2.0**-53
+        for steps, value in zip(j[picked].tolist(), ours):
+            copy = np.random.PCG64()
+            copy.state = rng.bit_generator.state
+            copy.advance(steps - 1)
+            if np.random.Generator(copy).random() != value:
+                raise RuntimeError(
+                    f"dropout uniform at position {steps - 1} does not match numpy's PCG64 stream"
+                )
 
     def draw(self) -> sp.csr_matrix:
         """Apply a fresh mask to x, returning ``dropped``; ``dropped_t`` follows it."""
         if self.keep < 1.0:
-            self.rng.random(out=self.uniforms)
-            mask = (self.uniforms.take(self.stored) < self.keep).astype(np.float64) / self.keep
+            outputs = _pcg64_outputs(self.table, self.rng.bit_generator.state["state"]["state"])
+            mask = (outputs < self.threshold).astype(np.float64) / self.keep
             np.multiply(self.x.data, mask, out=self.dropped.data)
+            self.rng.bit_generator.advance(self.block)
         return self.dropped
 
 

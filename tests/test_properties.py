@@ -6,11 +6,13 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import fd_gradient, fd_scalar, max_rel_err, objective_kw
 from pottscluster import (
+    FeatureDropout,
     evaluate_objective,
     from_edge_list,
     load_dataset,
@@ -121,3 +123,30 @@ def test_potts_gamma_gradient_is_sum_of_squared_volume_shares(data, g, seed):
     kw = objective_kw()
     _, _, d_total = evaluate_objective(g, c, 1.0, "potts", **kw)
     assert d_total >= (1.0 - 1e-12) / k - kw["w_gamma"]
+
+
+@given(
+    n=st.integers(1, 12),
+    l=st.integers(1, 300),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    keep=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+# keep * 2^53 is an integer at 0.5 and at the largest double below 1, not at the others
+@example(n=4, l=50, density=0.3, seed=1, keep=0.5)
+@example(n=4, l=50, density=0.3, seed=1, keep=1.0 - 2.0**-53)
+@example(n=4, l=50, density=0.3, seed=1, keep=0.1)
+@example(n=4, l=50, density=0.3, seed=1, keep=0.9)
+@example(n=4, l=50, density=0.3, seed=1, keep=3.0e-17)
+def test_skip_ahead_dropout_matches_dense_draw(n, l, density, seed, keep):
+    x = sp.random(n, l, density=density, format="csr", random_state=np.random.default_rng(seed))
+    x.data += 1.0  # every stored value nonzero, so the values show the mask
+    stored = np.repeat(np.arange(n), np.diff(x.indptr)) * l + x.indices
+    ours, ref = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    dropout = FeatureDropout(x, keep, ours)
+    for _ in range(3):
+        dropped = dropout.draw()
+        mask = ref.random((n, l)).take(stored) < keep
+        assert np.array_equal(dropped.data != 0, mask)
+        assert np.array_equal(dropped.data, x.data * (mask.astype(np.float64) / keep))
+    assert ours.bit_generator.state == ref.bit_generator.state

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import textbook_adam_slot
-from pottscluster import TrainConfig, TrainDivergedError, hard_assign, nmi, train
+from oracles import Pcg64Oracle, textbook_adam_slot
+from pottscluster import TrainConfig, TrainDivergedError, hard_assign, nmi, train, trainer
 from pottscluster.dataset import adjacency_features
 from pottscluster.model import ModelParams
 from pottscluster.trainer import AdamState, FeatureDropout, adam_step, init_params, run_seeds
@@ -229,6 +230,98 @@ class TestFeatureDropout:
         for _ in range(2):
             assert np.array_equal(dropout.draw().data, x.data)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, [3, 1]])
+    def test_oracle_reproduces_numpy_pcg64(self, seed):
+        # pins the numpy behaviour the skip-ahead kernel rests on
+        oracle = Pcg64Oracle(np.random.default_rng(seed))
+        expected = np.random.default_rng(seed).random(16).tolist()
+        assert [oracle.random() for _ in range(16)] == expected
+
+    def test_uniform_equal_to_keep_is_dropped(self):
+        # u < keep decides: a uniform exactly at keep drops and the next double up keeps.
+        # The smallest uniform lies below 0.5, where keep * 2^53 at the next double
+        # up is not an integer.
+        x = sp.random(6, 9, density=0.4, format="csr", random_state=np.random.default_rng(0))
+        rows = np.repeat(np.arange(6), np.diff(x.indptr))
+        u = np.random.default_rng(5).random(x.shape)[rows, x.indices]
+        i = int(np.argmin(u))
+        assert u[i] < 0.5
+        for keep, kept in ((u[i], False), (np.nextafter(u[i], 1.0), True)):
+            dropped = FeatureDropout(x, float(keep), np.random.default_rng(5)).draw()
+            assert (dropped.data[i] != 0) == kept
+
+    def test_huge_sparse_shape_draws_without_dense_block(self):
+        n, l = 3, 2**31  # n * l > 2^32: a dense block of uniforms would need 48 GiB
+        rows, cols = np.array([0, 0, 1, 2, 2]), np.array([0, 7, 2**30 + 3, 5, l - 1])
+        x = sp.csr_matrix((np.arange(1.0, 6.0), (rows, cols)), shape=(n, l))
+        rng = np.random.default_rng(4)
+        start = rng.bit_generator.state
+        tracemalloc.start()
+        dropout = FeatureDropout(x, 0.5, rng)
+        draws = [dropout.draw().data.copy() for _ in range(2)]
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**26
+        for epoch, data in enumerate(draws):
+            for p, value, got in zip(rows * l + cols, x.data, data):
+                copy = np.random.PCG64()
+                copy.state = start
+                copy.advance(epoch * n * l + int(p))
+                assert got == value * ((np.random.Generator(copy).random() < 0.5) / 0.5)
+        copy = np.random.PCG64()
+        copy.state = start
+        copy.advance(2 * n * l)
+        assert rng.bit_generator.state == copy.state
+
+    def test_empty_features_still_advance_the_stream(self):
+        x = sp.csr_matrix((4, 5))
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        dropout = FeatureDropout(x, 0.5, rng)
+        for _ in range(2):
+            assert dropout.draw().data.size == 0
+            ref.random(20)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_non_pcg64_generator_rejected(self):
+        x = sp.random(5, 5, density=0.5, format="csr", random_state=np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            FeatureDropout(x, 0.5, np.random.Generator(np.random.MT19937(0)))
+
+    def test_tampered_multiplier_fails_self_check(self, monkeypatch):
+        x = sp.random(5, 5, density=0.5, format="csr", random_state=np.random.default_rng(0))
+        monkeypatch.setattr(trainer, "_PCG64_MULT", trainer._PCG64_MULT + 2)
+        with pytest.raises(RuntimeError):
+            FeatureDropout(x, 0.5, np.random.default_rng(0))
+
+
+class DenseDrawDropout:
+    """The dense-draw dropout, kept as the reference: a full n x l block of uniforms per draw."""
+
+    def __init__(self, x, keep, rng):
+        self.x, self.keep, self.rng = x, keep, rng
+        self.uniforms = np.empty(x.shape)
+        rows = np.repeat(np.arange(x.shape[0], dtype=np.int64), np.diff(x.indptr))
+        self.stored = rows * x.shape[1] + x.indices
+        self.dropped = x.copy()
+        self.dropped_t = self.dropped.T
+
+    def draw(self):
+        if self.keep < 1.0:
+            self.rng.random(out=self.uniforms)
+            mask = (self.uniforms.take(self.stored) < self.keep).astype(np.float64) / self.keep
+            np.multiply(self.x.data, mask, out=self.dropped.data)
+        return self.dropped
+
+
+def test_skip_ahead_dropout_trains_like_dense_draw(monkeypatch, two_k4s):
+    x = sp.random(8, 40, density=0.15, format="csr", random_state=np.random.default_rng(6))
+    cfg = TrainConfig(seed=3, epochs=20, dropout_keep=0.5)
+    ours = train(two_k4s, x, cfg)
+    monkeypatch.setattr(trainer, "FeatureDropout", DenseDrawDropout)
+    dense = train(two_k4s, x, cfg)
+    assert ours.records == dense.records
+    assert np.array_equal(ours.final_assignment, dense.final_assignment)
 
 
 @pytest.fixture
