@@ -122,9 +122,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
         edges.append((u, v))
     g = from_edge_list(edges, n)
 
-    keys: list[int] = []  # node * num_features + feature, row-major position
-    values: list[float] = []
-    seen = set()
+    entries: dict[int, float] = {}  # row-major position node * num_features + feature -> value
     for lineno, fields in _iter_rows(root / "features.tsv", 3):
         node = _parse_int("features.tsv", lineno, fields[0], "node id")
         feat = _parse_int("features.tsv", lineno, fields[1], "feature index")
@@ -133,20 +131,19 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
         if not 0 <= feat < num_features:
             _fail("features.tsv", lineno, f"feature index {feat} out of range for num_features={num_features}")
         key = node * num_features + feat
-        if key in seen:
+        if key in entries:
             _fail("features.tsv", lineno, f"duplicate entry for node {node}, feature {feat}")
-        seen.add(key)
         try:
             value = float(fields[2])
         except ValueError:
             _fail("features.tsv", lineno, f"value is not a number: {fields[2]!r}")
         if not math.isfinite(value):
             _fail("features.tsv", lineno, f"value is not finite: {fields[2]!r}")
-        keys.append(key)
-        values.append(value)
+        entries[key] = value
     # the COO -> CSR conversion sorts each row's indices; keys are unique
-    rows_cols = np.divmod(np.array(keys, dtype=np.int64), num_features)
-    x = sp.csr_matrix((np.array(values, dtype=np.float64), rows_cols), shape=(n, num_features))
+    rows_cols = np.divmod(np.array(list(entries), dtype=np.int64), num_features)
+    values = np.array(list(entries.values()), dtype=np.float64)
+    x = sp.csr_matrix((values, rows_cols), shape=(n, num_features))
 
     labels_path = root / "labels.tsv"
     labels: np.ndarray | None = None
@@ -223,7 +220,6 @@ def save_dataset(
     g: Graph,
     x: np.ndarray | sp.spmatrix,
     labels: np.ndarray | None = None,
-    num_classes: int | None = None,
 ) -> None:
     """Write (graph, features, labels) as a dataset directory.
 
@@ -231,27 +227,23 @@ def save_dataset(
     canonical u < v order; features as nonzero triplets in row-major order
     with 17 significant digits. ``x`` may be a dense array or a scipy sparse
     matrix; both forms of the same matrix write the same files (see
-    ``feature_matrix``).
+    ``feature_matrix``). meta.json's ``num_classes`` is the largest label
+    plus one, or 0 without labels.
     """
     x = feature_matrix(x, g.n)
+    num_classes = 0
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (g.n,):
             raise ValueError(f"labels shape {labels.shape} does not match n={g.n}")
         if labels.size and labels.min() < 0:
             raise ValueError("labels must be non-negative")
-        inferred = int(labels.max()) + 1 if labels.size else 0
-        if num_classes is None:
-            num_classes = inferred
-        elif num_classes < inferred:
-            raise ValueError(f"num_classes={num_classes} too small for max label {inferred - 1}")
-    else:
-        num_classes = 0 if num_classes is None else num_classes
+        num_classes = int(labels.max()) + 1 if labels.size else 0
 
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
 
-    meta = {"n": g.n, "num_features": int(x.shape[1]), "num_classes": int(num_classes)}
+    meta = {"n": g.n, "num_features": int(x.shape[1]), "num_classes": num_classes}
     write_atomic(root / "meta.json", json.dumps(meta, indent=2) + "\n")
 
     src = g.arc_sources()

@@ -2,14 +2,14 @@
 """Training loop for the clustering encoder.
 
 A run is a pure function of (graph, features, config): weight init draws
-from ``default_rng(seed)`` and dropout from ``default_rng([seed, 1])``,
-which advances by n x l uniforms per epoch whatever the sparsity of the
-features (by none at ``dropout_keep`` 1.0). Only the uniforms at stored
-feature entries are computed, so repeating a run reproduces every float
-bit for bit, and dense and sparse features of the same values train
-alike. Optimization is plain Adam over
-one vector holding the three weight matrices and the scalar resolution
-gamma, which is clamped to [0, gamma_max] after each step.
+from ``default_rng(seed)``, and epoch e's dropout mask reads the uniforms
+at positions (e - 1) n l + p of the ``PCG64([seed, 1])`` stream, where p
+is the row-major position of a stored feature entry (no uniform at
+``dropout_keep`` 1.0). So repeating a run reproduces every float bit for
+bit, and dense and sparse features of the same values train alike.
+Optimization is plain Adam over one vector holding the three weight
+matrices and the scalar resolution gamma, which is clamped to
+[0, gamma_max] after each step.
 """
 from __future__ import annotations
 
@@ -212,6 +212,8 @@ _MASK128 = (1 << 128) - 1
 # conversion on every call, about a quarter of a small draw's time
 _U16, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (16, 32, 58, 63, 64))
 _LIMB = np.uint64(0xFFFF)
+# stored entries composed at a time: bounds the build's transient to a few MB
+_BUILD_BLOCK = 1 << 13
 
 
 def _limbs(*values: int, bits: int = 16) -> np.ndarray:
@@ -242,22 +244,16 @@ def _mul_add(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _affine_powers(a: int, c: int, count: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Powers of T(s) = a s + c (mod 2^128) up to T^(count - 1), by doubling.
+def _affine_powers(a: int, c: int, count: int) -> tuple[list[int], list[int]]:
+    """The coefficients of T^0 ... T^count for T(s) = a s + c (mod 2^128).
 
-    Returns the 16-bit limbs (8, 2, count) of (A_m, C_m), where
-    T^m(s) = A_m s + C_m, and the coefficients of T^size for the first
-    power of two ``size`` at or above ``count``. The entries for m + size
-    are those for m mapped once more through T^size.
+    Returns the lists (A_m) and (C_m), where T^m(s) = A_m s + C_m.
     """
-    table = _limbs(1, 0)[:, :, None]
-    while table.shape[2] < count:
-        step = np.zeros_like(table)
-        step[:, 1] = _limbs(c)
-        _mul_add(_limbs(a, bits=32)[:, :, None], table, step)
-        table = np.concatenate([table, step], axis=2)
-        a, c = a * a & _MASK128, (a * c + c) & _MASK128
-    return table[:, :, :count], (a, c)
+    powers_a, powers_c = [1], [0]
+    for _ in range(count):
+        powers_a.append(powers_a[-1] * a & _MASK128)
+        powers_c.append((powers_c[-1] * a + c) & _MASK128)
+    return powers_a, powers_c
 
 
 def _state_basis() -> np.ndarray:
@@ -295,26 +291,26 @@ def _pcg64_outputs(table: np.ndarray, state: int) -> np.ndarray:
 class FeatureDropout:
     """Inverted dropout on the stored entries of a CSR feature matrix.
 
-    Each draw advances ``rng`` by n x l steps, as a dense n x l block of
-    uniforms would, but computes only the uniforms at the stored positions,
-    and keeps an entry where its uniform is below ``keep``. Masking a zero
-    is a no-op, so dense and sparse features of the same values train bit
-    for bit alike, as the dense ``x * mask`` on the same stream; at
-    ``keep == 1.0`` a draw leaves x and ``rng`` untouched.
+    Draw e (from 0) keeps the entry at row-major position p where the
+    uniform at position e n l + p of the ``PCG64(seed)`` stream is below
+    ``keep``, as a dense n x l block of uniforms per draw would, but
+    computes only the uniforms at stored positions. Masking a zero is a
+    no-op, so dense and sparse features of the same values train bit for
+    bit alike; at ``keep == 1.0`` a draw leaves x untouched.
 
-    The uniform at row-major position p of a draw comes from the PCG64 state
-    T^{p+1}(s) = A_{p+1} s + C_{p+1} (mod 2^128), where s is the state
-    before the draw, T(s) = a s + inc is the generator's step, and A_j and
-    C_j do not depend on s. The constructor computes (A, C) for every stored
-    entry once, from tables of T's powers at the low and high halves of j's
-    bits, in O(nnz + sqrt(n l)) time and memory; a draw is then one exact
-    float64 matmul of 16-bit limbs and a few integer operations per entry.
-    The table holds 96 bytes per stored entry (A in eight 16-bit limbs, C in
-    four 32-bit chunks, all float64), so features denser than 1/12 hold more
-    than the dense block of 8-byte uniforms would. The constructor checks
-    the first, a middle and the last stored uniform against a copy of the
-    generator and raises ``RuntimeError`` on a mismatch; a bit generator
-    other than PCG64 raises ``TypeError``.
+    That uniform comes from the PCG64 state T^{p+1}(s) = A_{p+1} s + C_{p+1}
+    (mod 2^128), where s is the state before the draw, T(s) = a s + inc is
+    the generator's step, and A_j and C_j do not depend on s. The
+    constructor composes (A, C) for each stored entry from tables of T's
+    powers at the low and high halves of j's bits, a bounded block of
+    entries at a time, in O(nnz + sqrt(n l)) time; a draw is then one exact
+    float64 matmul of 16-bit limbs and a few integer operations per entry,
+    and ``state`` steps by T^{n l} in Python ints. The table holds 96 bytes
+    per stored entry (A in eight 16-bit limbs, C in four 32-bit chunks, all
+    float64), so features denser than 1/12 hold more than the dense block
+    of 8-byte uniforms would. The constructor checks the first, a middle
+    and the last stored uniform, and the state after one draw, against
+    copies of ``PCG64(seed)`` and raises ``RuntimeError`` on a mismatch.
 
     The dropped-out matrix and its transpose, a CSC view sharing its
     ``.data``, are built once and each draw overwrites ``.data`` in place:
@@ -322,52 +318,60 @@ class FeatureDropout:
     a small graph.
     """
 
-    def __init__(self, x: sp.csr_matrix, keep: float, rng: np.random.Generator):
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            name = type(rng.bit_generator).__name__
-            raise TypeError(f"dropout needs a PCG64 generator, got {name}")
-        self.x, self.keep, self.rng = x, keep, rng
+    def __init__(self, x: sp.csr_matrix, keep: float, seed: int | list[int]):
+        self.x, self.keep = x, keep
         self.dropped = x.copy()
         self.dropped_t = self.dropped.T
         if keep == 1.0:
             return
-        self.block = x.shape[0] * x.shape[1]
+        block = x.shape[0] * x.shape[1]
         # a uniform u = (out >> 11) * 2^-53 is below keep iff out < ceil(keep * 2^53) << 11
         self.threshold = np.uint64(math.ceil(keep * 2.0**53) << 11)
+        start = np.random.PCG64(seed).state["state"]
+        self.state = start["state"]  # the PCG64 state before the next draw
+        b = (block.bit_length() + 1) // 2
+        low_a, low_c = _affine_powers(_PCG64_MULT, start["inc"], 1 << b)
+        high_a, high_c = _affine_powers(low_a[-1], low_c[-1], block >> b)  # powers of T^(2^b)
+        # T^j = T^(high part) after T^(low part): A = A_h A_l and C = A_h C_l + C_h
+        h, l = divmod(block, 1 << b)
+        self.step = high_a[h] * low_a[l] & _MASK128, (high_a[h] * low_c[l] + high_c[h]) & _MASK128
+        low = _limbs(*low_a, *low_c).reshape(8, 2, -1)
+        a_high, c_high = _limbs(*high_a, bits=32), _limbs(*high_c)
         rows = np.repeat(np.arange(x.shape[0], dtype=np.int64), np.diff(x.indptr))
         j = rows * x.shape[1] + x.indices + 1  # steps from the draw's start to each stored uniform
-        state = rng.bit_generator.state["state"]
-        b = (self.block.bit_length() + 1) // 2
-        low, stride = _affine_powers(_PCG64_MULT, state["inc"], 1 << b)  # stride is T^(2^b)
-        high, _ = _affine_powers(*stride, (self.block >> b) + 1)
-        low, high = low.take(j & ((1 << b) - 1), axis=2), high.take(j >> b, axis=2)
-        # T^j = T^(high part) after T^(low part): A = A_h A_l and C = A_h C_l + C_h, so
-        # A_h in 32-bit limbs multiplies the low pair, and (0, C_h) is the addend
-        a_high = high[1::2, 0] << _U16 | high[0::2, 0]
-        high[:, 0] = 0
-        ac = _mul_add(a_high[:, None], low, high)
         self.table = np.empty((12, j.size))
-        self.table[:8] = ac[:, 0]
-        self.table[8:] = ac[1::2, 1] << _U16 | ac[0::2, 1]
+        for i in range(0, j.size, _BUILD_BLOCK):
+            part = slice(i, i + _BUILD_BLOCK)
+            hi, lo = j[part] >> b, j[part] & ((1 << b) - 1)
+            ac = np.zeros((8, 2, hi.size), dtype=np.uint64)
+            ac[:, 1] = c_high.take(hi, axis=1)
+            _mul_add(a_high.take(hi, axis=1)[:, None], low.take(lo, axis=2), ac)
+            self.table[:8, part] = ac[:, 0]
+            self.table[8:, part] = ac[1::2, 1] << _U16 | ac[0::2, 1]
         # the kernel rests on numpy internals: check it against copies of the generator
         picked = [0, j.size // 2, j.size - 1] if j.size else []
-        ours = (_pcg64_outputs(self.table[:, picked], state["state"]) >> 11) * 2.0**-53
+        ours = (_pcg64_outputs(self.table[:, picked], self.state) >> 11) * 2.0**-53
         for steps, value in zip(j[picked].tolist(), ours):
-            copy = np.random.PCG64()
-            copy.state = rng.bit_generator.state
+            copy = np.random.PCG64(seed)
             copy.advance(steps - 1)
             if np.random.Generator(copy).random() != value:
                 raise RuntimeError(
                     f"dropout uniform at position {steps - 1} does not match numpy's PCG64 stream"
                 )
+        copy = np.random.PCG64(seed)
+        copy.advance(block)
+        a, c = self.step
+        if copy.state["state"]["state"] != (a * self.state + c) & _MASK128:
+            raise RuntimeError(f"dropout state after {block} steps does not match numpy's PCG64")
 
     def draw(self) -> sp.csr_matrix:
         """Apply a fresh mask to x, returning ``dropped``; ``dropped_t`` follows it."""
         if self.keep < 1.0:
-            outputs = _pcg64_outputs(self.table, self.rng.bit_generator.state["state"]["state"])
+            outputs = _pcg64_outputs(self.table, self.state)
             mask = (outputs < self.threshold).astype(np.float64) / self.keep
             np.multiply(self.x.data, mask, out=self.dropped.data)
-            self.rng.bit_generator.advance(self.block)
+            a, c = self.step
+            self.state = (a * self.state + c) & _MASK128
         return self.dropped
 
 
@@ -385,7 +389,7 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
     abar = normalized_adjacency(g)
     params = init_params(x.shape[1], config)
     state = AdamState.zeros(params)
-    dropout = FeatureDropout(x, config.dropout_keep, np.random.default_rng([config.seed, 1]))
+    dropout = FeatureDropout(x, config.dropout_keep, [config.seed, 1])
     objective_kw = dict(
         w_collapse=config.w_collapse,
         w_gamma=config.w_gamma,

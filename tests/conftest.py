@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -17,6 +18,17 @@ settings.load_profile("tier1")
 # collection on; a temporary home, removed at exit, keeps that out of the tree.
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+# When a property fails, hypothesis's pytest plugin imports its patch writer,
+# whose libcst import warns about mypy_extensions.TypedDict; under
+# filterwarnings = error that warning would abort the session before the
+# falsifying example prints. Importing it once here, with that warning
+# ignored, leaves every warning raised by the package or the tests an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is optional; without it nothing is imported
+        pass
 
 
 @pytest.fixture

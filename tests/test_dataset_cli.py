@@ -208,8 +208,6 @@ class TestSaveDataset:
             save_dataset(tmp_path / "d", g, np.eye(2), np.array([0]))
         with pytest.raises(ValueError):
             save_dataset(tmp_path / "d", g, np.eye(2), np.array([-1, 0]))
-        with pytest.raises(ValueError):
-            save_dataset(tmp_path / "d", g, np.eye(2), np.array([0, 3]), num_classes=2)
 
 
 class TestFeatureBuilders:

@@ -212,24 +212,22 @@ class TestFeatureDropout:
         x.data = np.random.default_rng(1).standard_normal(x.nnz)
         dense = x.toarray()
         rows = np.repeat(np.arange(30), np.diff(x.indptr))
-        ours, ref = np.random.default_rng(2), np.random.default_rng(2)
-        dropout = FeatureDropout(x, keep, ours)
+        ref = np.random.default_rng(2)
+        dropout = FeatureDropout(x, keep, 2)
         for _ in range(3):
             dropped = dropout.draw()
             expected = dense * ((ref.random(x.shape) < keep).astype(np.float64) / keep)
             assert np.array_equal(dropped.data, expected[rows, x.indices])
             assert np.array_equal(dropout.dropped_t.toarray(), expected.T)
-        assert ours.random() == ref.random()
+        assert dropout.state == ref.bit_generator.state["state"]["state"]
         assert np.array_equal(x.toarray(), dense)
 
-    def test_keep_one_draws_nothing(self):
+    def test_keep_one_draws_nothing(self, monkeypatch):
         x = sp.random(30, 40, density=0.1, format="csr", random_state=np.random.default_rng(0))
-        rng = np.random.default_rng(2)
-        state = rng.bit_generator.state
-        dropout = FeatureDropout(x, 1.0, rng)
+        monkeypatch.setattr(np.random, "PCG64", None)  # building a generator would fail
+        dropout = FeatureDropout(x, 1.0, 2)
         for _ in range(2):
             assert np.array_equal(dropout.draw().data, x.data)
-        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, [3, 1]])
     def test_oracle_reproduces_numpy_pcg64(self, seed):
@@ -248,58 +246,65 @@ class TestFeatureDropout:
         i = int(np.argmin(u))
         assert u[i] < 0.5
         for keep, kept in ((u[i], False), (np.nextafter(u[i], 1.0), True)):
-            dropped = FeatureDropout(x, float(keep), np.random.default_rng(5)).draw()
+            dropped = FeatureDropout(x, float(keep), 5).draw()
             assert (dropped.data[i] != 0) == kept
 
     def test_huge_sparse_shape_draws_without_dense_block(self):
         n, l = 3, 2**31  # n * l > 2^32: a dense block of uniforms would need 48 GiB
         rows, cols = np.array([0, 0, 1, 2, 2]), np.array([0, 7, 2**30 + 3, 5, l - 1])
         x = sp.csr_matrix((np.arange(1.0, 6.0), (rows, cols)), shape=(n, l))
-        rng = np.random.default_rng(4)
-        start = rng.bit_generator.state
         tracemalloc.start()
-        dropout = FeatureDropout(x, 0.5, rng)
+        dropout = FeatureDropout(x, 0.5, 4)
         draws = [dropout.draw().data.copy() for _ in range(2)]
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 2**26
         for epoch, data in enumerate(draws):
             for p, value, got in zip(rows * l + cols, x.data, data):
-                copy = np.random.PCG64()
-                copy.state = start
+                copy = np.random.PCG64(4)
                 copy.advance(epoch * n * l + int(p))
                 assert got == value * ((np.random.Generator(copy).random() < 0.5) / 0.5)
-        copy = np.random.PCG64()
-        copy.state = start
+        copy = np.random.PCG64(4)
         copy.advance(2 * n * l)
-        assert rng.bit_generator.state == copy.state
+        assert dropout.state == copy.state["state"]["state"]
+
+    def test_construction_peak_stays_below_twice_the_table(self):
+        # the jump coefficients are composed a bounded block of stored entries at a time
+        x = sp.random(2000, 1000, density=0.1, format="csr", random_state=np.random.default_rng(0))
+        tracemalloc.start()
+        dropout = FeatureDropout(x, 0.5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert x.nnz == 200_000
+        assert peak < 2 * dropout.table.nbytes
 
     def test_empty_features_still_advance_the_stream(self):
         x = sp.csr_matrix((4, 5))
-        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
-        dropout = FeatureDropout(x, 0.5, rng)
+        ref = np.random.default_rng(2)
+        dropout = FeatureDropout(x, 0.5, 2)
         for _ in range(2):
             assert dropout.draw().data.size == 0
             ref.random(20)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_non_pcg64_generator_rejected(self):
-        x = sp.random(5, 5, density=0.5, format="csr", random_state=np.random.default_rng(0))
-        with pytest.raises(TypeError):
-            FeatureDropout(x, 0.5, np.random.Generator(np.random.MT19937(0)))
+        assert dropout.state == ref.bit_generator.state["state"]["state"]
 
     def test_tampered_multiplier_fails_self_check(self, monkeypatch):
         x = sp.random(5, 5, density=0.5, format="csr", random_state=np.random.default_rng(0))
         monkeypatch.setattr(trainer, "_PCG64_MULT", trainer._PCG64_MULT + 2)
-        with pytest.raises(RuntimeError):
-            FeatureDropout(x, 0.5, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="uniform at position"):
+            FeatureDropout(x, 0.5, 0)
+
+    def test_tampered_multiplier_fails_step_check_without_stored_entries(self, monkeypatch):
+        # no stored uniform to compare: the state after one draw is checked on its own
+        monkeypatch.setattr(trainer, "_PCG64_MULT", trainer._PCG64_MULT + 2)
+        with pytest.raises(RuntimeError, match="state after 20 steps"):
+            FeatureDropout(sp.csr_matrix((4, 5)), 0.5, 0)
 
 
 class DenseDrawDropout:
     """The dense-draw dropout, kept as the reference: a full n x l block of uniforms per draw."""
 
-    def __init__(self, x, keep, rng):
-        self.x, self.keep, self.rng = x, keep, rng
+    def __init__(self, x, keep, seed):
+        self.x, self.keep, self.rng = x, keep, np.random.default_rng(seed)
         self.uniforms = np.empty(x.shape)
         rows = np.repeat(np.arange(x.shape[0], dtype=np.int64), np.diff(x.indptr))
         self.stored = rows * x.shape[1] + x.indices
