@@ -6,9 +6,9 @@
     pottscluster gen ring-of-cliques --cliques C --size S --out DIR
     pottscluster gen sbm --sizes A,B,... --p-in P --p-out Q [--seed S] --out DIR
 
-Exit codes: 0 success, 2 usage or config error, 3 dataset error (a dataset
-without edges included), 4 training diverged. Set POTTSCLUSTER_VERBOSE=1 for
-progress messages on stderr.
+Exit codes: 0 success, 2 usage or config error or an unwritable output
+path, 3 dataset error (a dataset without edges included), 4 training
+diverged. Set POTTSCLUSTER_VERBOSE=1 for progress messages on stderr.
 """
 from __future__ import annotations
 
@@ -80,13 +80,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"--seeds must be positive, got {args.seeds}")
     g, x, labels = _load_graph_dataset(args.data)
     _log(f"loaded {args.data}: n={g.n}, m={g.m}, features={x.shape[1]}")
+    # fail on an unusable --out before training, not after it
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     sweep = run_seeds(g, x, config, args.seeds, labels)
     for run in sweep.runs:
         _log(f"seed {run.seed}: total={run.trace.records[-1].total:.6f} gamma={run.trace.gamma_final:.4f}")
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     base = sweep.runs[0]
     # one column per EpochRecord field; .17g prints the int epoch as its digits
@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

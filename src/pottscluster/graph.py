@@ -43,13 +43,16 @@ class Graph:
 def from_edge_list(edges, n: int) -> Graph:
     """Build a Graph from (u, v) pairs.
 
+    Node ids must be integers: a float or string id is rejected, not cast.
     Self-loops are dropped and duplicate edges, in either orientation,
     collapse to a single undirected edge.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-    arr = arr.reshape(-1, 2)
+    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"node ids must be integers, got {arr.dtype} values")
+    arr = arr.astype(np.int64).reshape(-1, 2)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         bad = arr[(arr < 0).any(axis=1) | (arr >= n).any(axis=1)][0]
         raise ValueError(f"edge ({bad[0]},{bad[1]}) out of bounds for n={n}")

@@ -30,12 +30,10 @@ __all__ = [
     "ortho_reg",
     "evaluate_objective",
     "LOSS_KINDS",
-    "COLLAPSE_SCALINGS",
     "DMON_GAMMA",
 ]
 
 LOSS_KINDS = ("potts", "dmon", "mincut_ortho")
-COLLAPSE_SCALINGS = ("sqrtk_over_n", "k_over_sqrtn")
 DMON_GAMMA = 1.0
 
 
@@ -73,26 +71,17 @@ def potts_loss(g: Graph, c: np.ndarray, gamma: float):
     return value, d_c, vol_sq / (two_m * two_m)
 
 
-def _collapse_factor(n: int, k: int, scaling: str) -> float:
-    if scaling == "sqrtk_over_n":
-        return sqrt(k) / n
-    if scaling == "k_over_sqrtn":
-        return k / sqrt(n)
-    raise ValueError(f"unknown collapse scaling {scaling!r}, expected one of {COLLAPSE_SCALINGS}")
+def collapse_reg(c: np.ndarray):
+    """DMoN's collapse penalty sqrt(k)/n * ||column sums of C|| - 1.
 
-
-def collapse_reg(c: np.ndarray, scaling: str):
-    """Penalty on concentrated cluster mass: factor * ||column sums of C|| - 1.
-
-    With the sqrt(k)/n factor (``sqrtk_over_n``) it is zero for perfectly
-    balanced columns and sqrt(k)-1 when all mass falls into one cluster;
-    ``k_over_sqrtn`` scales by k/sqrt(n) instead. Returns (value, dL/dC);
-    every row of the gradient is the same, so it is a read-only broadcast
-    view.
+    It is zero for perfectly balanced columns and sqrt(k)-1 when all mass
+    falls into one cluster. A k/sqrt(n) prefactor would only rescale it by
+    sqrt(n*k), as w_collapse does. Returns (value, dL/dC); every row of the
+    gradient is the same, so it is a read-only broadcast view.
     """
     c = np.asarray(c, dtype=np.float64)
     n, k = c.shape
-    factor = _collapse_factor(n, k, scaling)
+    factor = sqrt(k) / n
     s = c.sum(axis=0)
     nrm = float(np.linalg.norm(s))
     row = factor * s / nrm if nrm != 0.0 else np.zeros(k)
@@ -152,7 +141,6 @@ def evaluate_objective(
     w_collapse: float,
     w_gamma: float,
     gamma_max: float,
-    collapse_scaling: str,
 ):
     """Evaluate one of the training objectives on (g, C, gamma).
 
@@ -163,12 +151,12 @@ def evaluate_objective(
     """
     if kind == "potts":
         structural, d_c_s, d_gamma = potts_loss(g, c, gamma)
-        reg, d_c_r = collapse_reg(c, collapse_scaling)
+        reg, d_c_r = collapse_reg(c)
         g_term, d_g_r = gamma_reg(gamma, gamma_max)
         d_gamma += w_gamma * d_g_r
     elif kind == "dmon":
         structural, d_c_s, _ = potts_loss(g, c, DMON_GAMMA)
-        reg, d_c_r = collapse_reg(c, collapse_scaling)
+        reg, d_c_r = collapse_reg(c)
         g_term = d_gamma = 0.0
     elif kind == "mincut_ortho":
         structural, d_c_s = mincut_loss(g, c)

@@ -80,8 +80,14 @@ def conductance(g: Graph, labels: np.ndarray) -> float:
     return 100.0 * float(np.mean(vals))
 
 
-def _contingency(pred, truth) -> np.ndarray:
-    """Count table of (pred, truth) label pairs, after checking both label vectors."""
+def _contingency(pred, truth):
+    """Occupied cells of the (pred, truth) count table, after checking both label vectors.
+
+    Both vectors are mapped to 0..K-1 in increasing order, so memory grows
+    with n, not with the table. Returns (rows, cols, counts, row_sums,
+    col_sums): the occupied cells in row-major order and the table's
+    marginals.
+    """
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape or pred.ndim != 1:
@@ -90,29 +96,29 @@ def _contingency(pred, truth) -> np.ndarray:
         raise ValueError("cannot score empty label vectors")
     if pred.min() < 0 or truth.min() < 0:
         raise ValueError("cluster labels must be non-negative")
-    table = np.zeros((int(pred.max()) + 1, int(truth.max()) + 1), dtype=np.int64)
-    np.add.at(table, (pred, truth), 1)
-    return table
+    _, pred = np.unique(pred, return_inverse=True)
+    classes, truth = np.unique(truth, return_inverse=True)
+    cells, counts = np.unique(pred * classes.size + truth, return_counts=True)
+    rows, cols = np.divmod(cells, classes.size)
+    return rows, cols, counts, np.bincount(pred), np.bincount(truth)
 
 
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     """Normalized mutual information (arithmetic mean normalization), x100."""
-    table = _contingency(pred, truth)
-    n = int(table.sum())
-    pa = table.sum(axis=1) / n
-    pb = table.sum(axis=0) / n
-    pj = table / n
+    rows, cols, counts, row_sums, col_sums = _contingency(pred, truth)
+    n = int(row_sums.sum())
+    pa = row_sums / n
+    pb = col_sums / n
+    pj = counts / n
 
     def entropy(p: np.ndarray) -> float:
-        p = p[p > 0]
         return float(-np.sum(p * np.log(p)))
 
     ha, hb = entropy(pa), entropy(pb)
     if ha == 0.0 and hb == 0.0:
         # both sides put everything in one cluster: identical partitions
         return 100.0
-    mask = pj > 0
-    mi = float(np.sum(pj[mask] * (np.log(pj[mask]) - np.log(np.outer(pa, pb)[mask]))))
+    mi = float(np.sum(pj * (np.log(pj) - np.log(pa[rows] * pb[cols]))))
     value = mi / ((ha + hb) / 2.0)
     return 100.0 * float(np.clip(value, 0.0, 1.0))
 
@@ -123,15 +129,15 @@ def pairwise_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     A pair counts as positive when both nodes share a cluster. Precision and
     recall degenerate to 0 when their denominators vanish, as does F1.
     """
-    table = _contingency(pred, truth)
+    _, _, cell_counts, row_sums, col_sums = _contingency(pred, truth)
 
     def pairs(counts: np.ndarray) -> float:
         c = counts.astype(np.float64)
         return float(np.sum(c * (c - 1.0) / 2.0))
 
-    tp = pairs(table.ravel())
-    pred_pairs = pairs(table.sum(axis=1))
-    truth_pairs = pairs(table.sum(axis=0))
+    tp = pairs(cell_counts)
+    pred_pairs = pairs(row_sums)
+    truth_pairs = pairs(col_sums)
     precision = tp / pred_pairs if pred_pairs > 0 else 0.0
     recall = tp / truth_pairs if truth_pairs > 0 else 0.0
     if precision + recall == 0.0:

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .dataset import feature_matrix
 from .graph import Graph, normalized_adjacency
-from .losses import COLLAPSE_SCALINGS, DMON_GAMMA, LOSS_KINDS, LossBreakdown, evaluate_objective
+from .losses import DMON_GAMMA, LOSS_KINDS, LossBreakdown, evaluate_objective
 from .metrics import MetricsReport, evaluate_partition, hard_assign
 from .model import ModelParams, backward, forward
 
@@ -66,7 +66,6 @@ class TrainConfig:
     w_collapse: float = 1.0
     w_gamma: float = 0.01
     loss: str = "potts"
-    collapse_scaling: str = "sqrtk_over_n"
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -102,11 +101,6 @@ class TrainConfig:
             raise ValueError(
                 f"loss 'dmon' fixes gamma at {DMON_GAMMA}, outside [0, gamma_max={self.gamma_max}];"
                 f" set gamma_max to at least {DMON_GAMMA}"
-            )
-        if self.collapse_scaling not in COLLAPSE_SCALINGS:
-            raise ValueError(
-                f"unknown collapse_scaling {self.collapse_scaling!r},"
-                f" expected one of {COLLAPSE_SCALINGS}"
             )
 
     @classmethod
@@ -394,7 +388,6 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
         w_collapse=config.w_collapse,
         w_gamma=config.w_gamma,
         gamma_max=config.gamma_max,
-        collapse_scaling=config.collapse_scaling,
     )
 
     c0, _ = forward(abar, x, params)

@@ -18,7 +18,7 @@ from pottscluster import TrainConfig
 def objective_kw(**overrides) -> dict:
     """evaluate_objective's keywords at TrainConfig's defaults, with ``overrides`` applied."""
     config = TrainConfig()
-    keys = ("w_collapse", "w_gamma", "gamma_max", "collapse_scaling")
+    keys = ("w_collapse", "w_gamma", "gamma_max")
     return {key: overrides.get(key, getattr(config, key)) for key in keys}
 
 
@@ -118,6 +118,44 @@ def f1_oracle(x, y) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 100.0 * 2.0 * precision * recall / (precision + recall)
+
+
+def dense_table_scores(pred, truth) -> tuple[float, float]:
+    """(NMI, pairwise F1) x100 from a dense (max pred + 1) x (max truth + 1) count table.
+
+    The table-based formulas the package used before it counted only the
+    occupied cells; its scores must match these bit for bit.
+    """
+    pred = np.asarray(pred, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    table = np.zeros((int(pred.max()) + 1, int(truth.max()) + 1), dtype=np.int64)
+    np.add.at(table, (pred, truth), 1)
+    n = int(table.sum())
+    pa, pb, pj = table.sum(axis=1) / n, table.sum(axis=0) / n, table / n
+
+    def entropy(p):
+        p = p[p > 0]
+        return float(-np.sum(p * np.log(p)))
+
+    ha, hb = entropy(pa), entropy(pb)
+    if ha == 0.0 and hb == 0.0:
+        nmi = 100.0
+    else:
+        mask = pj > 0
+        mi = float(np.sum(pj[mask] * (np.log(pj[mask]) - np.log(np.outer(pa, pb)[mask]))))
+        nmi = 100.0 * float(np.clip(mi / ((ha + hb) / 2.0), 0.0, 1.0))
+
+    def pairs(counts):
+        c = counts.astype(np.float64)
+        return float(np.sum(c * (c - 1.0) / 2.0))
+
+    tp = pairs(table.ravel())
+    pred_pairs, truth_pairs = pairs(table.sum(axis=1)), pairs(table.sum(axis=0))
+    precision = tp / pred_pairs if pred_pairs > 0 else 0.0
+    recall = tp / truth_pairs if truth_pairs > 0 else 0.0
+    if precision + recall == 0.0:
+        return nmi, 0.0
+    return nmi, 100.0 * 2.0 * precision * recall / (precision + recall)
 
 
 def set_partitions(n: int):

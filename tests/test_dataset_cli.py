@@ -21,6 +21,7 @@ from pottscluster import (
     ring_of_cliques,
     save_dataset,
 )
+from pottscluster import cli
 from pottscluster.cli import main
 from pottscluster.dataset import adjacency_features, one_hot_degree_features
 
@@ -270,6 +271,15 @@ class TestCliGen:
             run_cli("gen")
         assert err.value.code == 2
 
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        assert run_cli("gen", "ring-of-cliques", "--cliques", "3", "--size", "3",
+                       "--out", str(taken)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert taken.read_text() == "keep\n"
+
 
 @pytest.fixture
 def ring_dataset(tmp_path):
@@ -403,6 +413,20 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: loss 'dmon' fixes gamma at 1.0") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_unusable_out_exits_2_before_training(self, tmp_path, ring_dataset, capsys,
+                                                  monkeypatch, sub):
+        def never(*args, **kwargs):
+            raise AssertionError("run_seeds called despite an unusable --out")
+
+        monkeypatch.setattr(cli, "run_seeds", never)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        assert run_cli("train", "--data", str(ring_dataset), "--out", str(taken / sub)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert taken.read_text() == "keep\n"
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert run_cli("train", "--data", str(tmp_path / "missing"),

@@ -50,6 +50,24 @@ class TestFromEdgeList:
         assert g.m == 0
         assert g.degrees.tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1.7)], np.array([[0.0, 2.9]]), [("0", "1")]], ids=["float", "float-array", "str"]
+    )
+    def test_non_integer_ids_rejected(self, edges):
+        with pytest.raises(ValueError, match="must be integers"):
+            from_edge_list(edges, 3)
+
+    def test_integer_inputs_build_same_graph(self):
+        empty = [from_edge_list(e, 3) for e in ([], np.empty((0, 2), dtype=np.int64))]
+        assert all(g.m == 0 and g.degrees.tolist() == [0, 0, 0] for g in empty)
+        pairs = [(0, 1), (2, 1), (1, 0)]
+        built = [from_edge_list(e, 3) for e in (pairs, np.array(pairs, dtype=np.int64),
+                                                 np.array(pairs, dtype=np.int32))]
+        for g in built:
+            assert g.m == 2 and g.degrees.tolist() == [1, 2, 1]
+            assert g.col_idx.tolist() == built[0].col_idx.tolist()
+            assert g.row_ptr.tolist() == built[0].row_ptr.tolist()
+
     def test_invariants_on_random_graphs(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

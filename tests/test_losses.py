@@ -33,8 +33,8 @@ def potts_value(g, c, gamma):
     return potts_loss(g, c, gamma)[0]
 
 
-def collapse_value(c, scaling="sqrtk_over_n"):
-    return collapse_reg(c, scaling)[0]
+def collapse_value(c):
+    return collapse_reg(c)[0]
 
 
 class TestPottsLoss:
@@ -102,11 +102,6 @@ class TestCollapseReg:
         c = np.eye(4)
         assert collapse_value(c) == pytest.approx(0.0, abs=1e-12)
 
-    def test_k_over_sqrtn_scaling(self):
-        c = np.eye(4)
-        # k/sqrt(n) * ||colsums|| - 1 = 4/2 * 2 - 1
-        assert collapse_value(c, "k_over_sqrtn") == pytest.approx(3.0, abs=1e-12)
-
     def test_range_bound_default_scaling(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -115,20 +110,15 @@ class TestCollapseReg:
             v = collapse_value(c)
             assert -1e-12 <= v <= math.sqrt(k) - 1.0 + 1e-12
 
-    def test_unknown_scaling_rejected(self):
-        with pytest.raises(ValueError, match="scaling"):
-            collapse_reg(np.eye(2), "bogus")
-
-    @pytest.mark.parametrize("scaling", ["sqrtk_over_n", "k_over_sqrtn"])
-    def test_grad_matches_fd(self, scaling):
+    def test_grad_matches_fd(self):
         rng = np.random.default_rng(5)
         c = random_row_stochastic(rng, 7, 3)
-        _, analytic = collapse_reg(c, scaling)
-        fd = fd_gradient(lambda t: collapse_value(t, scaling), c)
+        _, analytic = collapse_reg(c)
+        fd = fd_gradient(collapse_value, c)
         assert max_rel_err(analytic, fd) <= 1e-6
 
     def test_grad_zero_matrix_guard(self):
-        value, d_c = collapse_reg(np.zeros((3, 2)), "sqrtk_over_n")
+        value, d_c = collapse_reg(np.zeros((3, 2)))
         assert value == -1.0
         assert d_c.shape == (3, 2) and not d_c.any()
 
@@ -266,7 +256,7 @@ class TestEvaluateObjective:
             two_k4s, c, 2.0, "potts", **objective_kw(w_collapse=w_c, w_gamma=w_g)
         )
         _, d_c_potts, d_g_potts = potts_loss(two_k4s, c, 2.0)
-        expected_dc = d_c_potts + w_c * collapse_reg(c, "sqrtk_over_n")[1]
+        expected_dc = d_c_potts + w_c * collapse_reg(c)[1]
         assert np.allclose(d_c, expected_dc, atol=1e-15)
         assert d_gamma == pytest.approx(d_g_potts + w_g * gamma_reg(2.0, 5.0)[1], abs=1e-15)
 

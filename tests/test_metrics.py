@@ -1,12 +1,15 @@
 # tests/test_metrics.py
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import (
     conductance_oracle,
     dense_adjacency,
+    dense_table_scores,
     f1_oracle,
     modularity_double_sum,
     modularity_tally,
@@ -186,6 +189,35 @@ class TestExhaustiveSmall:
                     qa = np.array(q)
                     assert nmi(pa, qa) == pytest.approx(nmi_oracle(p, q), abs=1e-9)
                     assert pairwise_f1(pa, qa) == pytest.approx(f1_oracle(p, q), abs=1e-9)
+
+
+class TestContingencyScale:
+    def test_equal_to_dense_table_on_gapped_labels(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            pred = rng.choice(rng.integers(0, 1000, size=int(rng.integers(1, 9))), size=n)
+            truth = rng.choice(rng.integers(0, 200, size=int(rng.integers(1, 9))), size=n)
+            assert (nmi(pred, truth), pairwise_f1(pred, truth)) == dense_table_scores(pred, truth)
+
+    @pytest.mark.parametrize("score", ["nmi", "pairwise_f1", "evaluate_partition"])
+    def test_singletons_need_linear_memory(self, score):
+        # a dense 3000 x 3000 count table alone would take 72 MB
+        n = 3000
+        ids = np.arange(n)
+        path = from_edge_list(np.stack([ids[:-1], ids[1:]], axis=1), n)
+        calls = {
+            "nmi": lambda: nmi(ids, ids),
+            "pairwise_f1": lambda: pairwise_f1(ids, ids),
+            "evaluate_partition": lambda: evaluate_partition(path, ids, ids),
+        }
+        tracemalloc.start()
+        try:
+            calls[score]()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestEvaluatePartition:

@@ -1,6 +1,7 @@
 # tests/test_package.py
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import pottscluster
+from pottscluster import TrainConfig
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("dataset", "graph", "losses", "metrics", "model", "trainer")
 
 
@@ -55,7 +58,18 @@ def test_version_is_stated_once():
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
-    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
         meta = tomllib.load(fh)
     assert "version" not in meta["project"] and meta["project"]["dynamic"] == ["version"]
     assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "pottscluster.__version__"}
+
+
+def test_readme_configuration_table_matches_train_config():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and not set(line) <= set("|- ") and cells[0] != "key":
+            rows.append((cells[0], cells[1]))
+    assert rows == [(f.name, str(f.default)) for f in dataclasses.fields(TrainConfig)]

@@ -45,7 +45,6 @@ class TestTrainConfig:
             {"w_collapse": -1.0},
             {"w_gamma": -0.1},
             {"loss": "nope"},
-            {"collapse_scaling": "nope"},
             {"epochs": 5.5},
             {"epochs": True},
             {"seed": "a"},
