@@ -23,9 +23,9 @@ import numpy as np
 
 from .dataset import (
     DatasetFormatError,
+    adjacency_features,
     load_assignment,
     load_dataset,
-    one_hot_degree_features,
     save_dataset,
     write_atomic,
 )
@@ -119,7 +119,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _write_generated(out: str, g: Graph, labels: np.ndarray) -> None:
-    save_dataset(out, g, one_hot_degree_features(g), labels)
+    save_dataset(out, g, adjacency_features(g), labels)
     _log(f"wrote dataset to {out}: n={g.n}, m={g.m}")
 
 

@@ -40,7 +40,13 @@ def _check_labels(g: Graph, labels: np.ndarray) -> np.ndarray:
 
 
 def _cluster_tallies(g: Graph, labels: np.ndarray):
-    """Per-cluster (internal edge count, degree volume) from the arc list."""
+    """Per-cluster (internal edge count, degree volume) from the arc list.
+
+    Cluster ids are first mapped to 0..K-1 in increasing order, so memory
+    grows with n, not with the largest id, and every tallied cluster is
+    non-empty.
+    """
+    _, labels = np.unique(labels, return_inverse=True)
     k = int(labels.max()) + 1 if labels.size else 0
     src = g.arc_sources()
     dst = g.col_idx
@@ -72,11 +78,10 @@ def conductance(g: Graph, labels: np.ndarray) -> float:
         raise ValueError("conductance is undefined on an edgeless graph (m=0)")
     labels = _check_labels(g, labels)
     internal, volume = _cluster_tallies(g, labels)
-    sizes = np.bincount(labels, minlength=volume.size)
     cut = volume - 2.0 * internal  # arcs leaving each cluster
     two_m = 2.0 * g.m
     denom = np.minimum(volume, two_m - volume)
-    vals = np.divide(cut, denom, out=np.zeros_like(cut), where=denom != 0)[sizes > 0]
+    vals = np.divide(cut, denom, out=np.zeros_like(cut), where=denom != 0)
     return 100.0 * float(np.mean(vals))
 
 

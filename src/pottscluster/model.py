@@ -71,13 +71,19 @@ class ForwardCache:
 def selu(x):
     """SeLU activation, elementwise: lambda*x for x>0, lambda*alpha*(e^x - 1) otherwise."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, SELU_LAMBDA * x, SELU_LAMBDA * SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))
+    # the other side adds +0 (or -0 to -0): the branch's value bit for bit, without np.where
+    neg = SELU_LAMBDA * SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
+    return SELU_LAMBDA * np.maximum(x, 0.0) + neg
 
 
 def selu_grad(x):
     """Derivative of selu: lambda for x>0, lambda*alpha*e^x for x<=0."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
+    # at x > 0 the exponential is 1, and lambda*alpha + (lambda - lambda*alpha) is
+    # lambda exactly for these constants (a test pins it); elsewhere it adds +0
+    d = SELU_LAMBDA * SELU_ALPHA * np.exp(np.minimum(x, 0.0))
+    d += (x > 0) * (SELU_LAMBDA - SELU_LAMBDA * SELU_ALPHA)
+    return d
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

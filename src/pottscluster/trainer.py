@@ -2,11 +2,10 @@
 """Training loop for the clustering encoder.
 
 A run is a pure function of (graph, features, config): weight init draws
-from ``default_rng(seed)``, and epoch e's dropout mask reads the uniforms
-at positions (e - 1) n l + p of the ``PCG64([seed, 1])`` stream, where p
-is the row-major position of a stored feature entry (no uniform at
-``dropout_keep`` 1.0). So repeating a run reproduces every float bit for
-bit, and dense and sparse features of the same values train alike.
+from ``default_rng(seed)`` and dropout from ``default_rng([seed, 1])``, one
+uniform per stored feature entry and epoch (see FeatureDropout). So
+repeating a run reproduces every float bit for bit, and dense and sparse
+features of the same values train alike.
 Optimization is plain Adam over one vector holding the three weight
 matrices and the scalar resolution gamma, which is clamped to
 [0, gamma_max] after each step.
@@ -164,11 +163,16 @@ class AdamState:
 
 
 def init_params(num_features: int, config: TrainConfig) -> ModelParams:
-    """Standard-normal weight init, drawn in the order w, w_skip, w_out, and the starting gamma."""
+    """LeCun-normal weights and the starting gamma.
+
+    w, w_skip and w_out get standard normals, drawn in that order, times
+    1/sqrt(fan_in) (l, l and h): the variance SeLU's self-normalizing
+    argument assumes, which keeps the softmax unsaturated at epoch 0.
+    """
     rng = np.random.default_rng(config.seed)
     params = ModelParams(num_features, config.hidden, config.k)
     for view in (params.w, params.w_skip, params.w_out):
-        view[...] = rng.standard_normal(view.shape)
+        view[...] = rng.standard_normal(view.shape) / math.sqrt(view.shape[0])
     params.flat[-1] = DMON_GAMMA if config.loss == "dmon" else config.gamma_init
     return params
 
@@ -198,174 +202,36 @@ def adam_step(
     params.flat[-1] = min(max(params.flat[-1], 0.0), gamma_max)
 
 
-# numpy's PCG64 steps its 128-bit state s <- a*s + inc (mod 2^128), then
-# outputs the XSL-RR of the new state; random() is (output >> 11) * 2^-53.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# uint64 operands for the limb arithmetic: a Python int operand costs a
-# conversion on every call, about a quarter of a small draw's time
-_U16, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (16, 32, 58, 63, 64))
-_LIMB = np.uint64(0xFFFF)
-# stored entries composed at a time: bounds the build's transient to a few MB
-_BUILD_BLOCK = 1 << 13
-
-
-def _limbs(*values: int, bits: int = 16) -> np.ndarray:
-    """The little-endian ``bits``-bit limbs of 128-bit integers.
-
-    Returns uint64 of shape (128 // bits, len(values)).
-    """
-    raw = b"".join(v.to_bytes(16, "little") for v in values)
-    return np.frombuffer(raw, dtype=f"<u{bits // 8}").reshape(len(values), -1).T.astype(np.uint64)
-
-
-def _mul_add(x: np.ndarray, y: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """acc <- x * y + acc mod 2^128, elementwise over uint64 limb arrays; returns ``acc``.
-
-    ``x`` has 32-bit limbs (4, ...); ``y`` and ``acc`` have 16-bit limbs
-    (8, ...), and ``acc`` has the full broadcast shape. A position sums at
-    most four limb products below 2^48, so nothing overflows before the
-    carry.
-    """
-    prod = np.empty_like(acc)
-    for i in range(4):
-        rows = 8 - 2 * i
-        np.multiply(x[i], y[:rows], out=prod[:rows])
-        acc[2 * i :] += prod[:rows]
-    for t in range(7):
-        acc[t + 1] += acc[t] >> _U16
-    acc &= _LIMB
-    return acc
-
-
-def _affine_powers(a: int, c: int, count: int) -> tuple[list[int], list[int]]:
-    """The coefficients of T^0 ... T^count for T(s) = a s + c (mod 2^128).
-
-    Returns the lists (A_m) and (C_m), where T^m(s) = A_m s + C_m.
-    """
-    powers_a, powers_c = [1], [0]
-    for _ in range(count):
-        powers_a.append(powers_a[-1] * a & _MASK128)
-        powers_c.append((powers_c[-1] * a + c) & _MASK128)
-    return powers_a, powers_c
-
-
-def _state_basis() -> np.ndarray:
-    """(9, 48): the 16-bit limbs of a state s, then a constant 1, times this give m (4, 12).
-
-    ``m @ column`` for a table column (A's eight 16-bit limbs, C's four
-    32-bit chunks) gives the pre-carry 32-bit chunks of A*s + C: chunk c
-    gathers limb i of A times limbs 2c-i and, weighted 2^16, 2c+1-i of s,
-    and adds C's chunk c. Every chunk stays below 2^52, so float64 sums
-    are exact in any order.
-    """
-    basis = np.zeros((9, 4, 12))
-    for c in range(4):
-        basis[8, c, 8 + c] = 1.0
-        for i in range(8):
-            for k, weight in ((2 * c - i, 1.0), (2 * c + 1 - i, 65536.0)):
-                if 0 <= k < 8:
-                    basis[k, c, i] = weight
-    return basis.reshape(9, 48)
-
-
-_STATE_BASIS = _state_basis()
-
-
-def _pcg64_outputs(table: np.ndarray, state: int) -> np.ndarray:
-    """PCG64 outputs at the columns of ``table`` (see FeatureDropout) from the draw's start."""
-    limbs = np.frombuffer((state | 1 << 128).to_bytes(18, "little"), dtype="<u2")
-    u = ((limbs @ _STATE_BASIS).reshape(4, 12) @ table).astype(np.uint64)
-    lo, hi = u[0::2] + (u[1::2] << _U32)
-    hi += ((u[0] >> _U32) + u[1]) >> _U32  # the carry out of lo
-    xored, rot = hi ^ lo, hi >> _U58
-    return (xored >> rot) | (xored << ((_U64 - rot) & _U63))
-
-
 class FeatureDropout:
     """Inverted dropout on the stored entries of a CSR feature matrix.
 
-    Draw e (from 0) keeps the entry at row-major position p where the
-    uniform at position e n l + p of the ``PCG64(seed)`` stream is below
-    ``keep``, as a dense n x l block of uniforms per draw would, but
-    computes only the uniforms at stored positions. Masking a zero is a
-    no-op, so dense and sparse features of the same values train bit for
-    bit alike; at ``keep == 1.0`` a draw leaves x untouched.
+    Each draw takes one uniform per stored entry, in storage order, from
+    ``default_rng(seed)`` and keeps, times 1/keep, the entries whose uniform
+    is below ``keep``. At ``keep == 1.0`` nothing is drawn and ``dropped`` equals x.
 
-    That uniform comes from the PCG64 state T^{p+1}(s) = A_{p+1} s + C_{p+1}
-    (mod 2^128), where s is the state before the draw, T(s) = a s + inc is
-    the generator's step, and A_j and C_j do not depend on s. The
-    constructor composes (A, C) for each stored entry from tables of T's
-    powers at the low and high halves of j's bits, a bounded block of
-    entries at a time, in O(nnz + sqrt(n l)) time; a draw is then one exact
-    float64 matmul of 16-bit limbs and a few integer operations per entry,
-    and ``state`` steps by T^{n l} in Python ints. The table holds 96 bytes
-    per stored entry (A in eight 16-bit limbs, C in four 32-bit chunks, all
-    float64), so features denser than 1/12 hold more than the dense block
-    of 8-byte uniforms would. The constructor checks the first, a middle
-    and the last stored uniform, and the state after one draw, against
-    copies of ``PCG64(seed)`` and raises ``RuntimeError`` on a mismatch.
-
-    The dropped-out matrix and its transpose, a CSC view sharing its
-    ``.data``, are built once and each draw overwrites ``.data`` in place:
-    building both costs about 45 us, a tenth of a sub-millisecond epoch on
-    a small graph.
+    ``dropped`` stores only the kept entries. That changes no float of the
+    feature products: a dropped entry would only add ``+0 * w`` to scipy's
+    sequential sums. It and its CSC view ``dropped_t`` are built once and
+    each draw reassigns their arrays; building new matrices would cost
+    37-60 us, a tenth of a sub-millisecond epoch on a small graph.
     """
 
     def __init__(self, x: sp.csr_matrix, keep: float, seed: int | list[int]):
         self.x, self.keep = x, keep
+        self.rng = np.random.default_rng(seed) if keep < 1.0 else None
         self.dropped = x.copy()
         self.dropped_t = self.dropped.T
-        if keep == 1.0:
-            return
-        block = x.shape[0] * x.shape[1]
-        # a uniform u = (out >> 11) * 2^-53 is below keep iff out < ceil(keep * 2^53) << 11
-        self.threshold = np.uint64(math.ceil(keep * 2.0**53) << 11)
-        start = np.random.PCG64(seed).state["state"]
-        self.state = start["state"]  # the PCG64 state before the next draw
-        b = (block.bit_length() + 1) // 2
-        low_a, low_c = _affine_powers(_PCG64_MULT, start["inc"], 1 << b)
-        high_a, high_c = _affine_powers(low_a[-1], low_c[-1], block >> b)  # powers of T^(2^b)
-        # T^j = T^(high part) after T^(low part): A = A_h A_l and C = A_h C_l + C_h
-        h, l = divmod(block, 1 << b)
-        self.step = high_a[h] * low_a[l] & _MASK128, (high_a[h] * low_c[l] + high_c[h]) & _MASK128
-        low = _limbs(*low_a, *low_c).reshape(8, 2, -1)
-        a_high, c_high = _limbs(*high_a, bits=32), _limbs(*high_c)
-        rows = np.repeat(np.arange(x.shape[0], dtype=np.int64), np.diff(x.indptr))
-        j = rows * x.shape[1] + x.indices + 1  # steps from the draw's start to each stored uniform
-        self.table = np.empty((12, j.size))
-        for i in range(0, j.size, _BUILD_BLOCK):
-            part = slice(i, i + _BUILD_BLOCK)
-            hi, lo = j[part] >> b, j[part] & ((1 << b) - 1)
-            ac = np.zeros((8, 2, hi.size), dtype=np.uint64)
-            ac[:, 1] = c_high.take(hi, axis=1)
-            _mul_add(a_high.take(hi, axis=1)[:, None], low.take(lo, axis=2), ac)
-            self.table[:8, part] = ac[:, 0]
-            self.table[8:, part] = ac[1::2, 1] << _U16 | ac[0::2, 1]
-        # the kernel rests on numpy internals: check it against copies of the generator
-        picked = [0, j.size // 2, j.size - 1] if j.size else []
-        ours = (_pcg64_outputs(self.table[:, picked], self.state) >> 11) * 2.0**-53
-        for steps, value in zip(j[picked].tolist(), ours):
-            copy = np.random.PCG64(seed)
-            copy.advance(steps - 1)
-            if np.random.Generator(copy).random() != value:
-                raise RuntimeError(
-                    f"dropout uniform at position {steps - 1} does not match numpy's PCG64 stream"
-                )
-        copy = np.random.PCG64(seed)
-        copy.advance(block)
-        a, c = self.step
-        if copy.state["state"]["state"] != (a * self.state + c) & _MASK128:
-            raise RuntimeError(f"dropout state after {block} steps does not match numpy's PCG64")
 
     def draw(self) -> sp.csr_matrix:
         """Apply a fresh mask to x, returning ``dropped``; ``dropped_t`` follows it."""
         if self.keep < 1.0:
-            outputs = _pcg64_outputs(self.table, self.state)
-            mask = (outputs < self.threshold).astype(np.float64) / self.keep
-            np.multiply(self.x.data, mask, out=self.dropped.data)
-            a, c = self.step
-            self.state = (a * self.state + c) & _MASK128
+            x = self.x
+            kept = np.flatnonzero(self.rng.random(x.nnz) < self.keep)
+            data = x.data.take(kept) * (1.0 / self.keep)
+            indices = x.indices.take(kept)
+            indptr = np.searchsorted(kept, x.indptr).astype(x.indptr.dtype)
+            for m in (self.dropped, self.dropped_t):
+                m.data, m.indices, m.indptr = data, indices, indptr
         return self.dropped
 
 

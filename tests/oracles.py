@@ -232,25 +232,3 @@ def hard_c(labels, k: int) -> np.ndarray:
     c[np.arange(labels.size), labels] = 1.0
     return c
 
-
-class Pcg64Oracle:
-    """numpy's PCG64 on Python ints: the 128-bit LCG step, the XSL-RR output and ``random()``.
-
-    Written from the PCG report (O'Neill 2014) and numpy's documented
-    double conversion, independently of the package's limb arithmetic.
-    """
-
-    MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-    def __init__(self, generator: np.random.Generator):
-        state = generator.bit_generator.state["state"]
-        self.state, self.inc = state["state"], state["inc"]
-
-    def next64(self) -> int:
-        self.state = (self.state * self.MULTIPLIER + self.inc) % 2**128
-        xored = (self.state >> 64) ^ (self.state % 2**64)
-        rot = self.state >> 122
-        return ((xored >> rot) | (xored << (64 - rot))) % 2**64
-
-    def random(self) -> float:
-        return (self.next64() >> 11) * 2.0**-53

@@ -250,15 +250,25 @@ class TestCliGen:
         g, x, labels = load_dataset(out)
         assert g.n == 50 and g.m == 110
         assert labels.tolist() == [i // 5 for i in range(50)]
+        assert x.shape == (50, 50) and (x != adjacency_features(g)).nnz == 0  # A + I
+
+    def test_quick_start_recovers_the_ring(self, tmp_path):
+        # README's quick start: gen a ring of 10 five-cliques, train 4 seeds with defaults
+        data, out = tmp_path / "ring", tmp_path / "run"
+        assert run_cli("gen", "ring-of-cliques", "--cliques", "10", "--size", "5",
+                       "--out", str(data)) == 0
+        assert run_cli("train", "--data", str(data), "--out", str(out), "--seeds", "4") == 0
+        assert json.loads((out / "metrics.json").read_text())["aggregate"]["mean"]["nmi"] >= 80.0
 
     def test_sbm(self, tmp_path):
         out = tmp_path / "sbm"
         assert run_cli(
             "gen", "sbm", "--sizes", "4,4", "--p-in", "1.0", "--p-out", "0.0", "--out", str(out)
         ) == 0
-        g, _, labels = load_dataset(out)
+        g, x, labels = load_dataset(out)
         assert g.m == 12
         assert labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert x.shape == (8, 8) and (x != adjacency_features(g)).nnz == 0
 
     def test_bad_parameters_exit_2(self, tmp_path):
         assert run_cli("gen", "ring-of-cliques", "--cliques", "2", "--size", "3",

@@ -219,6 +219,19 @@ class TestContingencyScale:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("score", [modularity, conductance])
+    def test_large_ids_need_no_large_tally(self, score):
+        # tallies sized by the largest id would take 8 MB per array here
+        path = from_edge_list([(0, 1), (1, 2)], 3)
+        tracemalloc.start()
+        try:
+            gapped = score(path, np.array([0, 1, 10**6]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert gapped == score(path, np.array([0, 1, 2]))
+
 
 class TestEvaluatePartition:
     def test_with_truth(self, two_k4s):

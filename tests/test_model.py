@@ -44,6 +44,24 @@ class TestSelu:
     def test_grad_at_exact_zero_uses_negative_branch(self):
         assert selu_grad(np.array(0.0)) == pytest.approx(SELU_LAMBDA * SELU_ALPHA, abs=1e-15)
 
+    def test_equal_to_branch_form_bit_for_bit(self):
+        # the np.where forms selu and selu_grad replaced, compared on the int64 view
+        def selu_branch(x):
+            neg = SELU_LAMBDA * SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
+            return np.where(x > 0, SELU_LAMBDA * x, neg)
+
+        def selu_grad_branch(x):
+            neg = SELU_LAMBDA * SELU_ALPHA * np.exp(np.minimum(x, 0.0))
+            return np.where(x > 0, SELU_LAMBDA, neg)
+
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 800.0, -800.0, np.nan]
+        rng = np.random.default_rng(0)
+        for scale in (1e-3, 1.0, 30.0):
+            x = np.concatenate([scale * rng.standard_normal(10**6), special])
+            for ours, branch in ((selu, selu_branch), (selu_grad, selu_grad_branch)):
+                assert np.array_equal(ours(x).view(np.int64), branch(x).view(np.int64))
+
 
 class TestSoftmaxRows:
     def test_symmetry(self):

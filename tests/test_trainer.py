@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import Pcg64Oracle, textbook_adam_slot
-from pottscluster import TrainConfig, TrainDivergedError, hard_assign, nmi, train, trainer
+from oracles import textbook_adam_slot
+from pottscluster import TrainConfig, TrainDivergedError, hard_assign, nmi, sbm, train, trainer
 from pottscluster.dataset import adjacency_features
 from pottscluster.model import ModelParams
 from pottscluster.trainer import AdamState, FeatureDropout, adam_step, init_params, run_seeds
@@ -100,9 +101,17 @@ class TestInitParams:
         assert init_params(3, TrainConfig(loss="dmon", gamma_init=gamma_init)).gamma == 1.0
 
     def test_standard_normal_statistics(self):
-        p = init_params(64, TrainConfig(seed=0, hidden=64))
-        assert -0.2 < p.w.mean() < 0.2
-        assert 0.8 < p.w.var() < 1.2
+        # LeCun normal: standard normals scaled by 1/sqrt(fan_in), l for w and w_skip, h for w_out
+        p = init_params(400, TrainConfig(seed=0, hidden=64, k=50))
+        for view, fan_in in ((p.w, 400), (p.w_skip, 400), (p.w_out, 64)):
+            assert -0.2 < view.mean() * math.sqrt(fan_in) < 0.2
+            assert 0.9 < view.var() * fan_in < 1.1
+
+    def test_draws_in_order_scaled_by_fan_in(self):
+        p = init_params(7, TrainConfig(seed=3, hidden=5, k=4))
+        rng = np.random.default_rng(3)
+        for view, fan_in in ((p.w, 7), (p.w_skip, 7), (p.w_out, 5)):
+            assert np.array_equal(view, rng.standard_normal(view.shape) / math.sqrt(fan_in))
 
     def test_shapes(self):
         p = init_params(7, TrainConfig(k=5, hidden=9))
@@ -204,49 +213,76 @@ class TestAdamStep:
         assert 0.0 in gammas and gamma_max in gammas
 
 
+def zero_masked(x, keep, rng):
+    """A dense copy of x with each stored entry times (u < keep) / keep, u drawn from ``rng``."""
+    masked = x.copy()
+    masked.data = x.data * ((rng.random(x.nnz) < keep) / keep)
+    return masked.toarray()
+
+
 class TestFeatureDropout:
     @pytest.mark.parametrize("keep", [0.5, 0.3])
     def test_stored_values_equal_dense_mask_on_same_stream(self, keep):
         x = sp.random(30, 40, density=0.1, format="csr", random_state=np.random.default_rng(0))
         x.data = np.random.default_rng(1).standard_normal(x.nnz)
         dense = x.toarray()
-        rows = np.repeat(np.arange(30), np.diff(x.indptr))
         ref = np.random.default_rng(2)
         dropout = FeatureDropout(x, keep, 2)
         for _ in range(3):
             dropped = dropout.draw()
-            expected = dense * ((ref.random(x.shape) < keep).astype(np.float64) / keep)
-            assert np.array_equal(dropped.data, expected[rows, x.indices])
+            expected = zero_masked(x, keep, ref)
+            assert np.array_equal(dropped.toarray(), expected)
             assert np.array_equal(dropout.dropped_t.toarray(), expected.T)
-        assert dropout.state == ref.bit_generator.state["state"]["state"]
+            # only the kept entries are stored, row by row in column order
+            rows, cols = np.nonzero(expected)
+            assert np.array_equal(dropped.indices, cols)
+            assert np.array_equal(dropped.indptr, np.searchsorted(rows, np.arange(31)))
+            assert dropped.indices.dtype == dropped.indptr.dtype == x.indptr.dtype
+            assert dropped.nnz < x.nnz
         assert np.array_equal(x.toarray(), dense)
+
+    def test_deterministic_per_seed(self):
+        x = sp.random(20, 30, density=0.2, format="csr", random_state=np.random.default_rng(0))
+        a, b, c = (FeatureDropout(x, 0.5, seed) for seed in ([4, 1], [4, 1], [5, 1]))
+        for _ in range(2):
+            da, db, dc = (d.draw().toarray() for d in (a, b, c))
+            assert np.array_equal(da, db)
+            assert not np.array_equal(da, dc)
+
+    @pytest.mark.parametrize("keep", [0.2, 0.5, 0.9])
+    def test_kept_fraction(self, keep):
+        x = sp.random(200, 500, density=0.1, format="csr", random_state=np.random.default_rng(0))
+        dropout = FeatureDropout(x, keep, 0)
+        kept = sum(dropout.draw().nnz for _ in range(4)) / (4 * x.nnz)
+        assert abs(kept - keep) < 0.01  # 40k Bernoulli draws: the std is at most 0.0025
 
     def test_keep_one_draws_nothing(self, monkeypatch):
         x = sp.random(30, 40, density=0.1, format="csr", random_state=np.random.default_rng(0))
-        monkeypatch.setattr(np.random, "PCG64", None)  # building a generator would fail
+        monkeypatch.setattr(np.random, "default_rng", None)  # building a generator would fail
         dropout = FeatureDropout(x, 1.0, 2)
         for _ in range(2):
-            assert np.array_equal(dropout.draw().data, x.data)
+            dropped = dropout.draw()
+            assert np.array_equal(dropped.toarray(), x.toarray())
+            assert np.array_equal(dropout.dropped_t.toarray(), x.toarray().T)
 
-    @pytest.mark.parametrize("seed", [0, 1, 12345, [3, 1]])
-    def test_oracle_reproduces_numpy_pcg64(self, seed):
-        # pins the numpy behaviour the skip-ahead kernel rests on
-        oracle = Pcg64Oracle(np.random.default_rng(seed))
-        expected = np.random.default_rng(seed).random(16).tolist()
-        assert [oracle.random() for _ in range(16)] == expected
+    def test_empty_features_draw_empty(self):
+        x = sp.csr_matrix((4, 5))
+        dropout = FeatureDropout(x, 0.5, 2)
+        for _ in range(2):
+            assert dropout.draw().nnz == 0
+            assert dropout.dropped_t.shape == (5, 4)
 
     def test_uniform_equal_to_keep_is_dropped(self):
-        # u < keep decides: a uniform exactly at keep drops and the next double up keeps.
-        # The smallest uniform lies below 0.5, where keep * 2^53 at the next double
-        # up is not an integer.
+        # u < keep decides: a uniform exactly at keep drops and the next double up keeps
         x = sp.random(6, 9, density=0.4, format="csr", random_state=np.random.default_rng(0))
-        rows = np.repeat(np.arange(6), np.diff(x.indptr))
-        u = np.random.default_rng(5).random(x.shape)[rows, x.indices]
+        x.data += 1.0  # every stored value nonzero
+        rows, cols = x.nonzero()
+        u = np.random.default_rng(5).random(x.nnz)
         i = int(np.argmin(u))
-        assert u[i] < 0.5
         for keep, kept in ((u[i], False), (np.nextafter(u[i], 1.0), True)):
             dropped = FeatureDropout(x, float(keep), 5).draw()
-            assert (dropped.data[i] != 0) == kept
+            assert (dropped[rows[i], cols[i]] != 0) == kept
+            assert dropped.nnz == int(kept)
 
     def test_huge_sparse_shape_draws_without_dense_block(self):
         n, l = 3, 2**31  # n * l > 2^32: a dense block of uniforms would need 48 GiB
@@ -254,78 +290,41 @@ class TestFeatureDropout:
         x = sp.csr_matrix((np.arange(1.0, 6.0), (rows, cols)), shape=(n, l))
         tracemalloc.start()
         dropout = FeatureDropout(x, 0.5, 4)
-        draws = [dropout.draw().data.copy() for _ in range(2)]
+        draws = [dropout.draw().copy() for _ in range(2)]
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 2**26
-        for epoch, data in enumerate(draws):
-            for p, value, got in zip(rows * l + cols, x.data, data):
-                copy = np.random.PCG64(4)
-                copy.advance(epoch * n * l + int(p))
-                assert got == value * ((np.random.Generator(copy).random() < 0.5) / 0.5)
-        copy = np.random.PCG64(4)
-        copy.advance(2 * n * l)
-        assert dropout.state == copy.state["state"]["state"]
-
-    def test_construction_peak_stays_below_twice_the_table(self):
-        # the jump coefficients are composed a bounded block of stored entries at a time
-        x = sp.random(2000, 1000, density=0.1, format="csr", random_state=np.random.default_rng(0))
-        tracemalloc.start()
-        dropout = FeatureDropout(x, 0.5, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert x.nnz == 200_000
-        assert peak < 2 * dropout.table.nbytes
-
-    def test_empty_features_still_advance_the_stream(self):
-        x = sp.csr_matrix((4, 5))
-        ref = np.random.default_rng(2)
-        dropout = FeatureDropout(x, 0.5, 2)
-        for _ in range(2):
-            assert dropout.draw().data.size == 0
-            ref.random(20)
-        assert dropout.state == ref.bit_generator.state["state"]["state"]
-
-    def test_tampered_multiplier_fails_self_check(self, monkeypatch):
-        x = sp.random(5, 5, density=0.5, format="csr", random_state=np.random.default_rng(0))
-        monkeypatch.setattr(trainer, "_PCG64_MULT", trainer._PCG64_MULT + 2)
-        with pytest.raises(RuntimeError, match="uniform at position"):
-            FeatureDropout(x, 0.5, 0)
-
-    def test_tampered_multiplier_fails_step_check_without_stored_entries(self, monkeypatch):
-        # no stored uniform to compare: the state after one draw is checked on its own
-        monkeypatch.setattr(trainer, "_PCG64_MULT", trainer._PCG64_MULT + 2)
-        with pytest.raises(RuntimeError, match="state after 20 steps"):
-            FeatureDropout(sp.csr_matrix((4, 5)), 0.5, 0)
+        ref = np.random.default_rng(4)
+        for dropped in draws:
+            expected = x.data * ((ref.random(x.nnz) < 0.5) / 0.5)
+            assert np.array_equal(np.asarray(dropped[rows, cols]).ravel(), expected)
 
 
-class DenseDrawDropout:
-    """The dense-draw dropout, kept as the reference: a full n x l block of uniforms per draw."""
+class ZeroMaskDropout:
+    """Reference dropout on the same stream: every entry stays stored, the dropped ones zeroed."""
 
     def __init__(self, x, keep, seed):
         self.x, self.keep, self.rng = x, keep, np.random.default_rng(seed)
-        self.uniforms = np.empty(x.shape)
-        rows = np.repeat(np.arange(x.shape[0], dtype=np.int64), np.diff(x.indptr))
-        self.stored = rows * x.shape[1] + x.indices
         self.dropped = x.copy()
         self.dropped_t = self.dropped.T
 
     def draw(self):
-        if self.keep < 1.0:
-            self.rng.random(out=self.uniforms)
-            mask = (self.uniforms.take(self.stored) < self.keep).astype(np.float64) / self.keep
-            np.multiply(self.x.data, mask, out=self.dropped.data)
+        mask = (self.rng.random(self.x.nnz) < self.keep) / self.keep
+        np.multiply(self.x.data, mask, out=self.dropped.data)
         return self.dropped
 
 
 def test_skip_ahead_dropout_trains_like_dense_draw(monkeypatch, two_k4s):
+    # skipping a dropped entry removes a +0 * w term from the products' sums: no float moves
     x = sp.random(8, 40, density=0.15, format="csr", random_state=np.random.default_rng(6))
+    x.data += 0.5
     cfg = TrainConfig(seed=3, epochs=20, dropout_keep=0.5)
+    assert not (np.random.default_rng([3, 1]).random(x.nnz) < 0.5).all()  # epoch 1 drops some
     ours = train(two_k4s, x, cfg)
-    monkeypatch.setattr(trainer, "FeatureDropout", DenseDrawDropout)
-    dense = train(two_k4s, x, cfg)
-    assert ours.records == dense.records
-    assert np.array_equal(ours.final_assignment, dense.final_assignment)
+    monkeypatch.setattr(trainer, "FeatureDropout", ZeroMaskDropout)
+    masked = train(two_k4s, x, cfg)
+    assert ours.records == masked.records
+    assert np.array_equal(ours.final_assignment, masked.final_assignment)
 
 
 @pytest.fixture
@@ -411,6 +410,35 @@ class TestTrain:
         g, x, _ = k4_setup
         with pytest.raises(ValueError):
             train(g, x[:-1], TrainConfig(epochs=1))
+
+
+def csbm_features(labels, num_features, density, signal, rng):
+    """Binary features correlated with the blocks: each block owns a slice of the columns.
+
+    A node draws Binomial(num_features, density) words, each from its
+    block's slice with probability ``signal`` and from all columns otherwise.
+    """
+    n, k = labels.size, int(labels.max()) + 1
+    bounds = np.linspace(0, num_features, k + 1).astype(np.int64)
+    node = np.repeat(np.arange(n), rng.binomial(num_features, density, size=n))
+    own = rng.random(node.size) < signal
+    lo, hi = bounds[labels[node]], bounds[labels[node] + 1]
+    topic = lo + (rng.random(node.size) * (hi - lo)).astype(np.int64)
+    x = np.zeros((n, num_features))
+    x[node, np.where(own, topic, rng.integers(0, num_features, size=node.size))] = 1.0
+    return x
+
+
+def test_default_init_learns_a_contextual_sbm():
+    # 5 blocks of 100, mean degree 4, 80% of edges inside blocks; the planted
+    # partition scores modularity 60.2. An init that saturates the softmax at
+    # epoch 0 (unit-variance weights) ends near 4.
+    edges, intra_pairs = 4 * 500 / 2, 5 * 100 * 99 / 2
+    p_in, p_out = 0.8 * edges / intra_pairs, 0.2 * edges / (500 * 499 / 2 - intra_pairs)
+    g, labels = sbm([100] * 5, p_in, p_out, 7)
+    x = csbm_features(labels, 300, 0.03, 0.3, np.random.default_rng(7))
+    sweep = run_seeds(g, x, TrainConfig(k=8, epochs=300), 3, labels)
+    assert sweep.mean["modularity"] >= 45.0
 
 
 class TestRunSeeds:
