@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "Graph",
@@ -34,6 +36,10 @@ class Graph:
     m: int
     degrees: np.ndarray
     adj: sp.csr_matrix
+
+    @cached_property
+    def float_degrees(self) -> np.ndarray:  # ``degrees`` as float64, converted once
+        return self.degrees.astype(np.float64)
 
     def arc_sources(self) -> np.ndarray:
         """Source node of every stored arc (row index expanded along row_ptr)."""
@@ -76,17 +82,39 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((values, g.col_idx, g.row_ptr), shape=(g.n, g.n))
 
 
-def spmm(a: sp.spmatrix, x: np.ndarray) -> np.ndarray:
+def matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a @ x`` into ``out`` and return it, bit for bit what ``a @ x`` gives.
+
+    A float64 CSR or CSC ``a`` runs the scipy kernel ``a @ x`` runs, with
+    the same arguments, on the zeroed ``out``; any other operand is
+    computed as ``a @ x`` and copied.
+    """
+    m, n, k = *a.shape, x.shape[-1]
+    if x.ndim != 2 or x.shape[0] != n or out.shape != (m, k) or np.may_share_memory(x, out):
+        raise ValueError(f"cannot write {a.shape} @ {x.shape} into {out.shape}: it must be ({m}, {k}), apart from x")
+    compressed = sp.issparse(a) and a.format in ("csr", "csc") and out.flags.c_contiguous
+    if not (compressed and a.dtype == x.dtype == out.dtype == np.float64):
+        out[...] = a @ x
+        return out
+    out.fill(0.0)
+    vecs = () if k == 1 else (k,)  # scipy takes its one-vector kernel for one column
+    kernel = getattr(_sparsetools, f"{a.format}_matvec{'s' if vecs else ''}")
+    kernel(m, n, *vecs, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    return out
+
+
+def spmm(a: sp.spmatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sparse-dense product ``a @ x`` for a scipy operator and a dense matrix x.
 
     scipy's CSR kernel accumulates each row sequentially in stored order,
     which is ascending column index for the graph's matrices, so results
-    are deterministic.
+    are deterministic. The product goes into ``out`` when given (see
+    matmul_into) and into a new array otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != a.shape[1]:
         raise ValueError(f"expected dense matrix with {a.shape[1]} rows, got shape {x.shape}")
-    return a @ x
+    return matmul_into(a, x, np.empty((a.shape[0], x.shape[1])) if out is None else out)
 
 
 def ring_of_cliques(c: int, s: int) -> tuple[Graph, np.ndarray]:

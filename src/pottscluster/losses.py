@@ -52,23 +52,25 @@ class LossBreakdown:
     total: float
 
 
-def potts_loss(g: Graph, c: np.ndarray, gamma: float):
+def potts_loss(g: Graph, c: np.ndarray, gamma: float, out: np.ndarray | None = None):
     """Potts Hamiltonian of soft assignment ``c`` at resolution ``gamma``.
 
-    Returns (value, dL/dC, dL/dgamma).
+    Returns (value, dL/dC, dL/dgamma); dL/dC goes into ``out`` if given.
     """
     if g.m < 1:
         raise ValueError("Potts objective is undefined on an edgeless graph (m=0)")
     c = np.asarray(c, dtype=np.float64)
-    ac = spmm(g.adj, c)
+    ac = spmm(g.adj, c, out=out)
     trace = float(np.sum(c * ac))  # Tr(C^T A C)
-    deg = g.degrees.astype(np.float64)
+    deg = g.float_degrees
     vol = deg @ c  # d^T C, one entry per cluster
     vol_sq = float(vol @ vol)
     two_m = 2.0 * g.m
     value = -(trace - gamma / two_m * vol_sq) / two_m
-    d_c = -(ac - (gamma / two_m) * np.outer(deg, vol)) / g.m
-    return value, d_c, vol_sq / (two_m * two_m)
+    # d_c = -(A C - (gamma/2m) d vol^T) / m in place on A C; x / -m is -(x / m) bit for bit
+    ac -= (gamma / two_m) * np.outer(deg, vol)
+    ac /= -g.m
+    return value, ac, vol_sq / (two_m * two_m)
 
 
 def collapse_reg(c: np.ndarray):
@@ -98,20 +100,21 @@ def gamma_reg(gamma: float, gamma_max: float):
     return abs(gamma - gamma_max), float(np.sign(gamma - gamma_max))
 
 
-def mincut_loss(g: Graph, c: np.ndarray):
-    """Normalized-cut relaxation -Tr(C^T A C) / Tr(C^T D C); returns (value, dL/dC)."""
+def mincut_loss(g: Graph, c: np.ndarray, out: np.ndarray | None = None):
+    """Normalized-cut relaxation -Tr(C^T A C) / Tr(C^T D C); returns (value, dL/dC), ``out`` as in potts_loss."""
     if g.m < 1:
         raise ValueError("min-cut objective needs at least one edge")
     c = np.asarray(c, dtype=np.float64)
-    ac = spmm(g.adj, c)
+    ac = spmm(g.adj, c, out=out)
     num = float(np.sum(c * ac))
-    deg = g.degrees.astype(np.float64)
+    deg = g.float_degrees
     den = float(deg @ (c * c).sum(axis=1))
     if den == 0.0:
         raise ValueError("degree-weighted denominator Tr(C^T D C) is zero")
-    d_num = 2.0 * ac
-    d_den = 2.0 * deg[:, None] * c
-    return -num / den, (num * d_den - den * d_num) / (den * den)
+    # d_c = (num * d_den - den * d_num) / den^2 with d_den = 2 D C and d_num = 2 A C, into ac
+    np.subtract(num * (2.0 * deg[:, None] * c), den * (2.0 * ac), out=ac)
+    ac /= den * den
+    return -num / den, ac
 
 
 def ortho_reg(c: np.ndarray):
@@ -141,25 +144,27 @@ def evaluate_objective(
     w_collapse: float,
     w_gamma: float,
     gamma_max: float,
+    out: np.ndarray | None = None,
 ):
     """Evaluate one of the training objectives on (g, C, gamma).
 
-    The keywords are the TrainConfig fields of the same names, which hold
-    their defaults. Returns (LossBreakdown, dL/dC, dL/dgamma). The dmon and
-    mincut_ortho objectives do not depend on gamma, so their gamma gradient
-    and gamma_reg term are zero.
+    The keywords other than ``out`` are the TrainConfig fields of the same
+    names, which hold their defaults. Returns (LossBreakdown, dL/dC,
+    dL/dgamma), with dL/dC in ``out`` if given. The dmon and mincut_ortho
+    objectives do not depend on gamma, so their gamma gradient and
+    gamma_reg term are zero.
     """
     if kind == "potts":
-        structural, d_c_s, d_gamma = potts_loss(g, c, gamma)
+        structural, d_c, d_gamma = potts_loss(g, c, gamma, out)
         reg, d_c_r = collapse_reg(c)
         g_term, d_g_r = gamma_reg(gamma, gamma_max)
         d_gamma += w_gamma * d_g_r
     elif kind == "dmon":
-        structural, d_c_s, _ = potts_loss(g, c, DMON_GAMMA)
+        structural, d_c, _ = potts_loss(g, c, DMON_GAMMA, out)
         reg, d_c_r = collapse_reg(c)
         g_term = d_gamma = 0.0
     elif kind == "mincut_ortho":
-        structural, d_c_s = mincut_loss(g, c)
+        structural, d_c = mincut_loss(g, c, out)
         reg, d_c_r = ortho_reg(c)
         g_term = d_gamma = 0.0
     else:
@@ -169,4 +174,7 @@ def evaluate_objective(
     breakdown = LossBreakdown(
         potts=float(structural), collapse=float(reg), gamma_reg=float(g_term), total=float(total)
     )
-    return breakdown, d_c_s + w_collapse * d_c_r, float(d_gamma)
+    if kind != "mincut_ortho":
+        d_c_r = d_c_r[:1]  # collapse_reg's rows are all one row: add it by broadcasting
+    d_c += w_collapse * d_c_r
+    return breakdown, d_c, float(d_gamma)

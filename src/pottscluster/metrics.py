@@ -32,10 +32,16 @@ def hard_assign(c: np.ndarray) -> np.ndarray:
     return np.argmax(c, axis=1).astype(np.int64)
 
 
-def _check_labels(g: Graph, labels: np.ndarray) -> np.ndarray:
+def _integer_labels(labels, n: int | None = None) -> np.ndarray:
+    """``labels`` as int64, checked to be (n,) if n is given.
+
+    Float, string and bool labels are rejected, not cast.
+    """
     labels = np.asarray(labels)
-    if labels.shape != (g.n,):
-        raise ValueError(f"labels shape {labels.shape} does not match n={g.n}")
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"cluster labels must be integers, got {labels.dtype} values")
+    if n is not None and labels.shape != (n,):
+        raise ValueError(f"labels shape {labels.shape} does not match n={n}")
     return labels.astype(np.int64)
 
 
@@ -53,7 +59,7 @@ def _cluster_tallies(g: Graph, labels: np.ndarray):
     same = labels[src] == labels[dst]
     # each undirected internal edge contributes two arcs
     internal = np.bincount(labels[src][same], minlength=k) / 2.0
-    volume = np.bincount(labels, weights=g.degrees.astype(np.float64), minlength=k)
+    volume = np.bincount(labels, weights=g.float_degrees, minlength=k)
     return internal, volume
 
 
@@ -61,7 +67,7 @@ def modularity(g: Graph, labels: np.ndarray) -> float:
     """Newman modularity of a hard partition, scaled by 100."""
     if g.m < 1:
         raise ValueError("modularity is undefined on an edgeless graph (m=0)")
-    labels = _check_labels(g, labels)
+    labels = _integer_labels(labels, g.n)
     internal, volume = _cluster_tallies(g, labels)
     two_m = 2.0 * g.m
     q = float(np.sum(internal / g.m) - np.sum((volume / two_m) ** 2))
@@ -76,7 +82,7 @@ def conductance(g: Graph, labels: np.ndarray) -> float:
     """
     if g.m < 1:
         raise ValueError("conductance is undefined on an edgeless graph (m=0)")
-    labels = _check_labels(g, labels)
+    labels = _integer_labels(labels, g.n)
     internal, volume = _cluster_tallies(g, labels)
     cut = volume - 2.0 * internal  # arcs leaving each cluster
     two_m = 2.0 * g.m
@@ -93,8 +99,7 @@ def _contingency(pred, truth):
     col_sums): the occupied cells in row-major order and the table's
     marginals.
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred, truth = _integer_labels(pred), _integer_labels(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValueError(f"label shapes differ: {pred.shape} vs {truth.shape}")
     if pred.size == 0:
@@ -163,7 +168,7 @@ class MetricsReport:
 
 def evaluate_partition(g: Graph, pred: np.ndarray, truth: np.ndarray | None = None) -> MetricsReport:
     """Score a hard partition of g, its ids mapped to 0..K-1 in order, optionally against truth."""
-    clusters, pred = np.unique(_check_labels(g, pred), return_inverse=True)
+    clusters, pred = np.unique(_integer_labels(pred, g.n), return_inverse=True)
     return MetricsReport(
         modularity=modularity(g, pred),
         conductance=conductance(g, pred),

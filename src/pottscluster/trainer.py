@@ -9,6 +9,10 @@ features of the same values train alike.
 Optimization is plain Adam over one vector holding the three weight
 matrices and the scalar resolution gamma, which is clamped to
 [0, gamma_max] after each step.
+
+Every epoch writes into buffers made once per ``train`` call (a
+ForwardCache, dL/dC, Adam's and dropout's scratch), with the operations,
+order and kernels of allocating code, so no float depends on them.
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 32768  # entries per adam_step pass: 256 KB rows, so a block stays in cache
 
 
 # accepted value types per TrainConfig annotation; bool is rejected separately
@@ -151,11 +156,12 @@ class RunTrace:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators over the flat parameter vector, and the step count."""
+    """Moment accumulators over the flat parameter vector, the step count, and adam_step's scratch."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
@@ -188,17 +194,28 @@ def adam_step(
 
     Each element goes through the textbook per-parameter operations in the
     textbook order, so the result is bitwise equal to updating every weight
-    matrix and gamma on its own.
+    matrix and gamma on its own, block by block into ``state.scratch``.
     """
     state.t += 1
-    m, v, g = state.m, state.v, grads.flat
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    denom = np.sqrt(v / (1.0 - ADAM_BETA2**state.t))
-    denom += ADAM_EPS
-    params.flat -= learning_rate * (m / (1.0 - ADAM_BETA1**state.t)) / denom
+    if state.scratch is None:
+        state.scratch = np.empty((2, min(params.flat.size, ADAM_BLOCK)))
+    for lo in range(0, params.flat.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        p, m, v, g = params.flat[block], state.m[block], state.v[block], grads.flat[block]
+        a, b = state.scratch[:, : p.size]
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v += a
+        denom = np.divide(v, 1.0 - ADAM_BETA2**state.t, out=a)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step = np.divide(m, 1.0 - ADAM_BETA1**state.t, out=b)
+        step *= learning_rate
+        step /= denom
+        p -= step
     params.flat[-1] = min(max(params.flat[-1], 0.0), gamma_max)
 
 
@@ -213,20 +230,24 @@ class FeatureDropout:
     feature products: a dropped entry would only add ``+0 * w`` to scipy's
     sequential sums. It and its CSC view ``dropped_t`` are built once and
     each draw reassigns their arrays; building new matrices would cost
-    37-60 us, a tenth of a sub-millisecond epoch on a small graph.
+    37-60 us, a tenth of a sub-millisecond epoch on a small graph. Each
+    draw's uniforms and mask go into two buffers of length nnz, made once.
     """
 
     def __init__(self, x: sp.csr_matrix, keep: float, seed: int | list[int]):
         self.x, self.keep = x, keep
         self.rng = np.random.default_rng(seed) if keep < 1.0 else None
-        self.dropped = x.copy()
+        self.dropped = sp.csr_matrix(x)  # x's arrays until a draw replaces them, never written
         self.dropped_t = self.dropped.T
+        if self.rng is not None:
+            self.uniforms, self.mask = np.empty(x.nnz), np.empty(x.nnz, dtype=bool)
 
     def draw(self) -> sp.csr_matrix:
         """Apply a fresh mask to x, returning ``dropped``; ``dropped_t`` follows it."""
         if self.keep < 1.0:
             x = self.x
-            kept = np.flatnonzero(self.rng.random(x.nnz) < self.keep)
+            self.rng.random(out=self.uniforms)
+            kept = np.flatnonzero(np.less(self.uniforms, self.keep, out=self.mask))
             data = x.data.take(kept) * (1.0 / self.keep)
             indices = x.indices.take(kept)
             indptr = np.searchsorted(kept, x.indptr).astype(x.indptr.dtype)
@@ -250,30 +271,25 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
     params = init_params(x.shape[1], config)
     state = AdamState.zeros(params)
     dropout = FeatureDropout(x, config.dropout_keep, [config.seed, 1])
-    objective_kw = dict(
-        w_collapse=config.w_collapse,
-        w_gamma=config.w_gamma,
-        gamma_max=config.gamma_max,
-    )
 
-    c0, _ = forward(abar, x, params)
-    first, _, _ = evaluate_objective(g, c0, params.gamma, config.loss, **objective_kw)
+    c, cache = forward(abar, x, params)
+    objective_kw = {key: getattr(config, key) for key in ("w_collapse", "w_gamma", "gamma_max")}
+    objective_kw["out"] = np.empty_like(c)
+    first, _, _ = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
     records = [EpochRecord.of(0, first, params.gamma)]
     if not np.isfinite(first.total):
         raise TrainDivergedError(0, first)
 
     for epoch in range(1, config.epochs + 1):
-        c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t)
-        breakdown, d_c, d_gamma = evaluate_objective(
-            g, c, params.gamma, config.loss, **objective_kw
-        )
+        c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t, cache)
+        breakdown, d_c, d_gamma = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
         if not np.isfinite(breakdown.total):
             raise TrainDivergedError(epoch, breakdown)
         grads = backward(cache, d_c, d_gamma)
         adam_step(params, grads, state, config.learning_rate, config.gamma_max)
         records.append(EpochRecord.of(epoch, breakdown, params.gamma))
 
-    c_final, _ = forward(abar, x, params)
+    c_final, _ = forward(abar, x, params, cache=cache)  # the cache ends here: C can be the result
     return RunTrace(records=records, final_params=params, final_assignment=c_final)
 
 

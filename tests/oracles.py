@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
-from pottscluster import TrainConfig
+from pottscluster import (
+    DMON_GAMMA,
+    SELU_ALPHA,
+    SELU_LAMBDA,
+    LossBreakdown,
+    ModelParams,
+    TrainConfig,
+    collapse_reg,
+    gamma_reg,
+    ortho_reg,
+)
 
 
 def objective_kw(**overrides) -> dict:
@@ -232,3 +243,85 @@ def hard_c(labels, k: int) -> np.ndarray:
     c[np.arange(labels.size), labels] = 1.0
     return c
 
+
+# ---- the allocating epoch ------------------------------------------------
+# forward, backward, the objective and the Adam step as they were written
+# before the package wrote into per-train buffers: every intermediate is a
+# new array and every sparse product is scipy's ``@``. The in-place
+# versions must reproduce them bit for bit. Signatures match the package's,
+# so each can be monkeypatched into the trainer; ``cache`` and ``out`` are
+# accepted and ignored.
+
+
+def reference_forward(abar, x, params, x_t=None, cache=None):
+    h = params.w.shape[1]
+    xw = x @ params.w_in
+    h_pre = abar @ xw[:, :h] + xw[:, h:]
+    neg = SELU_LAMBDA * SELU_ALPHA * np.expm1(np.minimum(h_pre, 0.0))
+    h_act = SELU_LAMBDA * np.maximum(h_pre, 0.0) + neg
+    logits = h_act @ params.w_out
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    c = e / e.sum(axis=1, keepdims=True)
+    ref_cache = SimpleNamespace(
+        abar=abar, x_t=x.T if x_t is None else x_t, h_pre=h_pre, h=h_act, c=c, w_out=params.w_out
+    )
+    return c, ref_cache
+
+
+def reference_backward(cache, d_c, d_gamma):
+    inner = (d_c * cache.c).sum(axis=1, keepdims=True)
+    d_logits = cache.c * (d_c - inner)
+    grad = ModelParams(cache.x_t.shape[0], *cache.w_out.shape)
+    np.matmul(cache.h.T, d_logits, out=grad.w_out)
+    d_h = d_logits @ cache.w_out.T
+    x = cache.h_pre
+    d = SELU_LAMBDA * SELU_ALPHA * np.exp(np.minimum(x, 0.0))
+    d += (x > 0) * (SELU_LAMBDA - SELU_LAMBDA * SELU_ALPHA)
+    d_h_pre = d_h * d
+    grad.w_in[...] = cache.x_t @ np.concatenate((cache.abar @ d_h_pre, d_h_pre), axis=1)
+    grad.flat[-1] = d_gamma
+    return grad
+
+
+def reference_objective(g, c, gamma, kind, *, w_collapse, w_gamma, gamma_max, out=None):
+    ac = g.adj @ c
+    deg = g.degrees.astype(np.float64)
+    two_m = 2.0 * g.m
+    g_term = d_gamma = 0.0
+    if kind == "mincut_ortho":
+        num = float(np.sum(c * ac))
+        den = float(deg @ (c * c).sum(axis=1))
+        d_num = 2.0 * ac
+        d_den = 2.0 * deg[:, None] * c
+        structural, d_c_s = -num / den, (num * d_den - den * d_num) / (den * den)
+        reg, d_c_r = ortho_reg(c)
+    else:
+        res = gamma if kind == "potts" else DMON_GAMMA
+        trace = float(np.sum(c * ac))
+        vol = deg @ c
+        vol_sq = float(vol @ vol)
+        structural = -(trace - res / two_m * vol_sq) / two_m
+        d_c_s = -(ac - (res / two_m) * np.outer(deg, vol)) / g.m
+        reg, d_c_r = collapse_reg(c)
+        if kind == "potts":
+            g_term, d_g_r = gamma_reg(gamma, gamma_max)
+            d_gamma = vol_sq / (two_m * two_m) + w_gamma * d_g_r
+    total = structural + w_collapse * reg + w_gamma * g_term
+    breakdown = LossBreakdown(
+        potts=float(structural), collapse=float(reg), gamma_reg=float(g_term), total=float(total)
+    )
+    return breakdown, d_c_s + w_collapse * d_c_r, float(d_gamma)
+
+
+def reference_adam_step(params, grads, state, learning_rate, gamma_max):
+    state.t += 1
+    m, v, g = state.m, state.v, grads.flat
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v *= 0.999
+    v += (1.0 - 0.999) * g * g
+    denom = np.sqrt(v / (1.0 - 0.999**state.t))
+    denom += 1e-8
+    params.flat -= learning_rate * (m / (1.0 - 0.9**state.t)) / denom
+    params.flat[-1] = min(max(params.flat[-1], 0.0), gamma_max)

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from oracles import dense_adjacency, random_edge_list
 from pottscluster import from_edge_list, normalized_adjacency, ring_of_cliques, sbm, spmm
+from pottscluster.graph import matmul_into
 
 
 def check_csr_invariants(g):
@@ -157,6 +158,13 @@ class TestSpmm:
             dense_ab[src, g.col_idx] = ab.data
             assert np.allclose(spmm(ab, x), dense_ab @ x, atol=1e-12)
 
+    def test_out_is_written_and_returned(self):
+        g = from_edge_list([(0, 1), (1, 2)], 3)
+        x = np.arange(6.0).reshape(3, 2)
+        out = np.full((3, 2), np.nan)
+        assert spmm(g.adj, x, out=out) is out
+        assert np.array_equal(out, g.adj @ x)
+
     def test_basis_vectors_reproduce_columns(self):
         rng = np.random.default_rng(5)
         n = 17
@@ -247,3 +255,53 @@ class TestSbm:
             tracemalloc.stop()
         assert g.m > 0
         assert peak < 32 * 2**20
+
+
+def product_cases():
+    """(name, operator, dense operand) pairs covering the layouts the kernels see."""
+    rng = np.random.default_rng(8)
+    a = sp.random(40, 30, density=0.2, format="csr", random_state=rng)
+    a.data = rng.standard_normal(a.nnz)
+    wide = rng.standard_normal((30, 12))
+    wide_int64 = a.copy()
+    wide_int64.indices = a.indices.astype(np.int64)
+    wide_int64.indptr = a.indptr.astype(np.int64)
+    return [
+        ("csr", a, wide),
+        ("csr one column", a, wide[:, 3:4]),
+        ("csc transpose view", a.T, rng.standard_normal((40, 5))),
+        ("csc one column", a.T, rng.standard_normal((40, 1))),
+        ("int64 indices", wide_int64, wide),
+        ("non-contiguous x", a, wide[:, ::3]),
+        ("fortran-order x", a, np.asfortranarray(wide)),
+        ("no stored entries", sp.csr_matrix((40, 30)), wide),
+        ("no rows", sp.csr_matrix((0, 30)), wide),
+        ("dense", a.toarray(), wide),
+        ("coo falls back", a.tocoo(), wide),
+    ]
+
+
+@pytest.mark.parametrize("name, a, x", product_cases(), ids=[c[0] for c in product_cases()])
+def test_products_into_out_equal_scipy_bit_for_bit(name, a, x):
+    expected = a @ x
+    out = np.full(expected.shape, np.nan)  # stale contents must not leak into the result
+    assert matmul_into(a, x, out) is out
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    if sp.issparse(a):
+        out2 = np.full(expected.shape, np.nan)
+        assert spmm(a, x, out=out2) is out2
+        assert np.array_equal(out2.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(spmm(a, x).view(np.int64), expected.view(np.int64))
+
+
+def test_product_shape_mismatch_rejected_before_the_kernel():
+    a = sp.random(5, 4, density=0.5, format="csr", random_state=np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        matmul_into(a, np.ones((4, 3)), np.empty((5, 2)))
+    with pytest.raises(ValueError):
+        matmul_into(a, np.ones((3, 3)), np.empty((5, 3)))
+    with pytest.raises(ValueError):
+        matmul_into(a, np.ones(4), np.empty((5, 1)))
+    square, x = sp.identity(4, format="csr"), np.ones((4, 2))
+    with pytest.raises(ValueError, match="apart from x"):  # zeroing out would erase x first
+        spmm(square, x, out=x)

@@ -249,3 +249,29 @@ class TestEvaluatePartition:
     def test_label_shape_check(self, two_k4s):
         with pytest.raises(ValueError):
             evaluate_partition(two_k4s, np.zeros(5, dtype=int))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0, 0.9, 1.2, 1.7, 0, 0, 1, 1], ["0", "0", "1", "1", "0", "0", "1", "1"], [0.0] * 8, [True] * 8],
+)
+def test_non_integer_labels_rejected(two_k4s, labels):
+    # a float or string label is not cast: 0.9 and 1.2 are not one cluster
+    for score in (evaluate_partition, modularity, conductance):
+        with pytest.raises(ValueError, match="integer"):
+            score(two_k4s, labels)
+    for score in (nmi, pairwise_f1):
+        with pytest.raises(ValueError, match="integer"):
+            score(labels, [0] * 8)
+        with pytest.raises(ValueError, match="integer"):
+            score([0] * 8, labels)
+    truth = np.array([0] * 4 + [1] * 4)
+    with pytest.raises(ValueError, match="integer"):
+        evaluate_partition(two_k4s, truth, labels)
+
+
+def test_integer_labels_of_any_width_accepted(two_k4s):
+    labels = [0] * 4 + [1] * 4
+    for dtype in (np.int8, np.uint16, np.int32, np.int64):
+        r = evaluate_partition(two_k4s, np.array(labels, dtype=dtype), np.array(labels, dtype=dtype))
+        assert r.nmi == 100.0 and r.num_clusters == 2

@@ -60,7 +60,12 @@ class TestSelu:
         for scale in (1e-3, 1.0, 30.0):
             x = np.concatenate([scale * rng.standard_normal(10**6), special])
             for ours, branch in ((selu, selu_branch), (selu_grad, selu_grad_branch)):
-                assert np.array_equal(ours(x).view(np.int64), branch(x).view(np.int64))
+                expected = branch(x).view(np.int64)
+                assert np.array_equal(ours(x).view(np.int64), expected)
+                # the buffered call forward and backward make
+                out, scratch = np.full_like(x, 7.0), np.full_like(x, -3.0)
+                assert ours(x, out=out, scratch=scratch) is out
+                assert np.array_equal(out.view(np.int64), expected)
 
 
 class TestSoftmaxRows:
@@ -89,6 +94,12 @@ class TestSoftmaxRows:
         logits = rng.standard_normal((5, 4))
         shifted = logits + rng.standard_normal((5, 1)) * 30
         assert np.allclose(softmax_rows(logits), softmax_rows(shifted), atol=1e-12)
+
+    def test_buffers_give_the_allocated_result(self):
+        logits = np.random.default_rng(2).standard_normal((7, 5)) * 20
+        out, row = np.full((7, 5), 9.0), np.full((7, 1), 9.0)
+        assert softmax_rows(logits, out=out, row=row) is out
+        assert np.array_equal(out, softmax_rows(logits))
 
 
 def make_instance(seed, n=6, l=3, h=4, k=3, p=0.5):
@@ -175,6 +186,24 @@ class TestForward:
         c1, _ = forward(abar, x, params)
         c2, _ = forward(abar, x, params)
         assert np.array_equal(c1, c2)
+
+    def test_reused_cache_matches_fresh_caches(self):
+        # a cache passed back in is overwritten whole: nothing of the first call leaks
+        g, abar, x, params = make_instance(14, n=9, l=4, h=5, k=3)
+        other = with_slot(params, "w", params.w * -2.0)
+        other.w_out[...] *= 0.5
+        r = np.random.default_rng(15).standard_normal((g.n, 3))
+        c1, cache = forward(abar, x, params)
+        c1, grad1 = c1.copy(), backward(cache, r, 0.5).flat.copy()
+        c2, reused = forward(abar, sp.csr_matrix(x), other, cache=cache)
+        assert reused is cache and c2 is cache.c
+        grad2 = backward(cache, r, 0.5)
+        assert grad2 is cache.grad
+        fresh_c1, fresh1 = forward(abar, x, params)
+        fresh_c2, fresh2 = forward(abar, sp.csr_matrix(x), other)
+        assert np.array_equal(c1, fresh_c1) and np.array_equal(c2, fresh_c2)
+        assert np.array_equal(grad1, backward(fresh1, r, 0.5).flat)
+        assert np.array_equal(grad2.flat, backward(fresh2, r, 0.5).flat)
 
     def test_shape_mismatch_rejected(self):
         _, abar, x, params = make_instance(6)

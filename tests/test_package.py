@@ -73,3 +73,9 @@ def test_readme_configuration_table_matches_train_config():
         if line.startswith("|") and not set(line) <= set("|- ") and cells[0] != "key":
             rows.append((cells[0], cells[1]))
     assert rows == [(f.name, str(f.default)) for f in dataclasses.fields(TrainConfig)]
+
+
+def test_only_graph_names_scipys_private_kernels():
+    # scipy's private kernel module is an implementation detail of one helper
+    users = sorted(p.name for p in (ROOT / "src" / "pottscluster").glob("*.py") if "_sparsetools" in p.read_text())
+    assert users == ["graph.py"]

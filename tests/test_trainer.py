@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import textbook_adam_slot
+from oracles import (
+    reference_adam_step,
+    reference_backward,
+    reference_forward,
+    reference_objective,
+    textbook_adam_slot,
+)
 from pottscluster import TrainConfig, TrainDivergedError, hard_assign, nmi, sbm, train, trainer
 from pottscluster.dataset import adjacency_features
 from pottscluster.model import ModelParams
@@ -211,6 +217,23 @@ class TestAdamStep:
             gammas.append(params.gamma)
         assert state.t == 20
         assert 0.0 in gammas and gamma_max in gammas
+
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    def test_blocks_equal_one_allocating_pass(self, monkeypatch, block):
+        # 91 entries in blocks of 1 (91 passes), of 7 (a short last block) and of one block
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        rng = np.random.default_rng(5)
+        params = random_params(rng, l=5, h=6, k=4, gamma=0.5)
+        ref_params = random_params(np.random.default_rng(5), l=5, h=6, k=4, gamma=0.5)
+        state, ref_state = AdamState.zeros(params), AdamState.zeros(params)
+        for _ in range(5):
+            grads = ModelParams(5, 6, 4)
+            grads.flat[:] = rng.standard_normal(grads.flat.size)
+            adam_step(params, grads, state, 0.01, 5.0)
+            reference_adam_step(ref_params, grads, ref_state, 0.01, 5.0)
+            assert np.array_equal(params.flat, ref_params.flat)
+            assert np.array_equal(state.m, ref_state.m) and np.array_equal(state.v, ref_state.v)
+        assert state.scratch.shape == (2, min(block, params.flat.size))
 
 
 def zero_masked(x, keep, rng):
@@ -474,7 +497,83 @@ class TestRunSeeds:
         assert sweep.mean["nmi"] == 100.0
         assert sweep.std["nmi"] == 0.0
 
+    def test_later_seeds_leave_earlier_assignments_alone(self, k4_setup):
+        g, x, truth = k4_setup
+        cfg = TrainConfig(seed=2, epochs=15)
+        sweep = run_seeds(g, x, cfg, 3, truth)
+        for run in sweep.runs:
+            solo = train(g, x, dataclasses.replace(cfg, seed=run.seed))
+            assert np.array_equal(run.trace.final_assignment, solo.final_assignment)
+        firsts = [run.trace.final_assignment for run in sweep.runs]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1 :])
+
     def test_num_seeds_validated(self, k4_setup):
         g, x, _ = k4_setup
         with pytest.raises(ValueError):
             run_seeds(g, x, TrainConfig(epochs=1), 0)
+
+
+def small_csbm(num_features=60, seed=0):
+    g, labels = sbm([30] * 3, 0.3, 0.02, seed)
+    rng = np.random.default_rng(seed)
+    x = sp.random(g.n, num_features, density=0.15, format="csr", random_state=rng)
+    x.data = 1.0 + rng.random(x.nnz)
+    return g, x
+
+
+@pytest.mark.parametrize("loss", ["potts", "dmon", "mincut_ortho"])
+@pytest.mark.parametrize("keep", [0.3, 1.0])
+@pytest.mark.parametrize("dense", [False, True], ids=["csr", "dense"])
+def test_buffered_epoch_equals_allocating_reference(monkeypatch, loss, keep, dense):
+    # the per-train buffers change no float: records, assignment and weights match bit for bit
+    g, x = small_csbm()
+    cfg = TrainConfig(seed=4, k=4, hidden=6, epochs=15, dropout_keep=keep, loss=loss)
+    features = x.toarray() if dense else x
+    ours = train(g, features, cfg)
+    for name, ref in (
+        ("forward", reference_forward),
+        ("backward", reference_backward),
+        ("evaluate_objective", reference_objective),
+        ("adam_step", reference_adam_step),
+    ):
+        monkeypatch.setattr(trainer, name, ref)
+    reference = train(g, features, cfg)
+    assert ours.records == reference.records
+    assert np.array_equal(ours.final_assignment, reference.final_assignment)
+    assert np.array_equal(ours.final_params.flat, reference.final_params.flat)
+
+
+def test_one_hidden_unit_equals_allocating_reference(monkeypatch):
+    # one column: scipy's product takes its one-vector kernel, and so must the buffers
+    g, x = small_csbm(seed=1)
+    cfg = TrainConfig(seed=1, k=3, hidden=1, epochs=10)
+    ours = train(g, x, cfg)
+    monkeypatch.setattr(trainer, "forward", reference_forward)
+    monkeypatch.setattr(trainer, "backward", reference_backward)
+    reference = train(g, x, cfg)
+    assert ours.records == reference.records
+    assert np.array_equal(ours.final_params.flat, reference.final_params.flat)
+
+
+def test_epoch_allocates_nothing_layer_sized(monkeypatch):
+    # after the first epoch, the transient peak of an epoch stays below one (n, h) array;
+    # allocating every intermediate afresh peaks near six of them
+    g, _ = sbm([100] * 4, 0.1, 0.01, 1)
+    x = sp.random(g.n, 50, density=0.1, format="csr", random_state=np.random.default_rng(1))
+    cfg = TrainConfig(k=8, hidden=64, epochs=6)
+    step, peaks = trainer.adam_step, []
+
+    def traced_step(*args):
+        step(*args)
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak - current)
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(trainer, "adam_step", traced_step)
+    tracemalloc.start()
+    try:
+        train(g, x, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == cfg.epochs
+    assert max(peaks[1:]) < g.n * cfg.hidden * 8, peaks
