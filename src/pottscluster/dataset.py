@@ -11,12 +11,20 @@ has the labels.tsv layout with a cluster id in place of the label.
 
 The format is deliberately plain so converters from public benchmark
 archives can be written in any language.
+
+Each .tsv file is read in one pass by numpy's C parser and checked with
+array operations. A file numpy declines (non-ASCII text, a numeral only
+Python's ``int`` or ``float`` reads, such as ``1_0``, or malformed text),
+or whose values fail a check, is read again line by line by
+``_iter_rows``. That row loop is the reference reader: both give the same
+arrays, and it words every error with file and line number.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +79,57 @@ def _iter_rows(path: Path, expected_fields: int):
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+_NUMPY_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
+_NODE_LABEL = np.dtype([("node", np.int64), ("label", np.int64)])  # labels.tsv and assignment files
+_FEATURE = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
+
+
+def _numpy_reads_like_python(path: Path) -> bool:
+    """Whether the file is text on which numpy's parser agrees with ``int()`` and ``float()``.
+
+    That is ASCII without the separators \\x1c-\\x1f: numpy strips those
+    as whitespace, where ``int()`` rejects them, and reads some non-ASCII
+    characters (U+01FE, circled digits) as digits of the wrong value.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return False
+    return raw.isascii() and not any(sep in raw for sep in _NUMPY_ONLY_SPACES)
+
+
+def _read_table(path: Path, row: np.dtype) -> np.ndarray | None:
+    """A tab-separated file as records of ``row`` parsed by numpy's C reader, or None where it declines.
+
+    Blank lines are skipped, so a file with no other gives zero records.
+    On the text it is given, numpy reads a subset of the numerals ``int()``
+    and ``float()`` read, to the same values; it declines ``1_0``, ``1.0``
+    as an id, ids past int64, NUL and a line with a wrong field count.
+    ``comments=None`` keeps a ``#`` line from being skipped.
+    """
+    if not _numpy_reads_like_python(path):
+        return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, dtype=row, delimiter="\t", comments=None, encoding="utf-8", ndmin=1)
+        except UserWarning:
+            return np.empty(0, dtype=row)
+        except (ValueError, OSError):
+            return None
+
+
+def _in_range(ids: np.ndarray, stop: int) -> bool:
+    return ids.size == 0 or (ids.min() >= 0 and ids.max() < stop)
+
+
+def _one_row_per_node(nodes: np.ndarray, n: int) -> bool:
+    """Whether ``nodes`` names each of 0..n-1 exactly once."""
+    return nodes.size == n and _in_range(nodes, n) and bool(np.bincount(nodes, minlength=n).all())
+
+
 def _load_meta(path: Path) -> tuple[int, int, int]:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -95,6 +154,9 @@ def _load_meta(path: Path) -> tuple[int, int, int]:
         raise DatasetFormatError(f"meta.json: num_features must be positive, got {num_features}")
     if num_classes < 0:
         raise DatasetFormatError(f"meta.json: num_classes must be non-negative, got {num_classes}")
+    for key, val in zip(("n", "num_features", "num_classes"), out):
+        if val > _INT64_MAX:  # past int64, numpy cannot size or index arrays by it
+            raise DatasetFormatError(f"meta.json: {key} must be at most 2**63 - 1, got {val}")
     return n, num_features, num_classes
 
 
@@ -113,17 +175,47 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
             raise DatasetFormatError(f"missing required file: {name}")
     n, num_features, num_classes = _load_meta(root / "meta.json")
 
+    g = from_edge_list(_read_edges(root / "edges.tsv", n), n)
+    x = _read_features(root / "features.tsv", n, num_features)
+    labels_path = root / "labels.tsv"
+    labels: np.ndarray | None = None
+    if labels_path.is_file():
+        if num_classes < 1:
+            raise DatasetFormatError("meta.json: num_classes must be positive when labels.tsv is present")
+        labels = _read_labels(labels_path, n, num_classes)
+    return g, x, labels
+
+
+def _read_edges(path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
+    """edges.tsv's (u, v) pairs, each id checked against n."""
+    table = _read_table(path, _EDGE)
+    if table is not None and _in_range(table["u"], n) and _in_range(table["v"], n):
+        return np.column_stack((table["u"], table["v"]))
     edges = []
-    for lineno, fields in _iter_rows(root / "edges.tsv", 2):
+    for lineno, fields in _iter_rows(path, 2):
         u = _parse_int("edges.tsv", lineno, fields[0], "node id")
         v = _parse_int("edges.tsv", lineno, fields[1], "node id")
         if not (0 <= u < n and 0 <= v < n):
             _fail("edges.tsv", lineno, f"edge ({u},{v}) out of range for n={n}")
         edges.append((u, v))
-    g = from_edge_list(edges, n)
+    return edges
 
+
+def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
+    """features.tsv as a canonical (n, num_features) CSR matrix, rejecting duplicate and non-finite entries."""
+    table = _read_table(path, _FEATURE)
+    if (
+        table is not None
+        and _in_range(table["node"], n)
+        and _in_range(table["feature"], num_features)
+        and np.isfinite(table["value"]).all()
+    ):
+        # the COO -> CSR conversion sorts each row's indices and sums duplicates
+        x = sp.csr_matrix((table["value"], (table["node"], table["feature"])), shape=(n, num_features))
+        if x.nnz == table.size:  # no (node, feature) pair was given twice
+            return x
     entries: dict[int, float] = {}  # row-major position node * num_features + feature -> value
-    for lineno, fields in _iter_rows(root / "features.tsv", 3):
+    for lineno, fields in _iter_rows(path, 3):
         node = _parse_int("features.tsv", lineno, fields[0], "node id")
         feat = _parse_int("features.tsv", lineno, fields[1], "feature index")
         if not 0 <= node < n:
@@ -143,38 +235,47 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
     # the COO -> CSR conversion sorts each row's indices; keys are unique
     rows_cols = np.divmod(np.array(list(entries), dtype=np.int64), num_features)
     values = np.array(list(entries.values()), dtype=np.float64)
-    x = sp.csr_matrix((values, rows_cols), shape=(n, num_features))
+    return sp.csr_matrix((values, rows_cols), shape=(n, num_features))
 
-    labels_path = root / "labels.tsv"
-    labels: np.ndarray | None = None
-    if labels_path.is_file():
-        if num_classes < 1:
-            raise DatasetFormatError("meta.json: num_classes must be positive when labels.tsv is present")
-        labels = np.full(n, -1, dtype=np.int64)
-        for lineno, fields in _iter_rows(labels_path, 2):
-            node = _parse_int("labels.tsv", lineno, fields[0], "node id")
-            label = _parse_int("labels.tsv", lineno, fields[1], "label")
-            if not 0 <= node < n:
-                _fail("labels.tsv", lineno, f"node id {node} out of range for n={n}")
-            if not 0 <= label < num_classes:
-                _fail("labels.tsv", lineno, f"label {label} out of range for num_classes={num_classes}")
-            if labels[node] != -1:
-                _fail("labels.tsv", lineno, f"duplicate label for node {node}")
-            labels[node] = label
-        missing = np.flatnonzero(labels == -1)
-        if missing.size:
-            raise DatasetFormatError(f"labels.tsv: no label for node {int(missing[0])}")
-    return g, x, labels
+
+def _read_labels(path: Path, n: int, num_classes: int) -> np.ndarray:
+    """labels.tsv as an int64 label per node, every node labelled once."""
+    table = _read_table(path, _NODE_LABEL)
+    if table is not None and _in_range(table["label"], num_classes) and _one_row_per_node(table["node"], n):
+        labels = np.empty(n, dtype=np.int64)
+        labels[table["node"]] = table["label"]
+        return labels
+    labels = np.full(n, -1, dtype=np.int64)
+    for lineno, fields in _iter_rows(path, 2):
+        node = _parse_int("labels.tsv", lineno, fields[0], "node id")
+        label = _parse_int("labels.tsv", lineno, fields[1], "label")
+        if not 0 <= node < n:
+            _fail("labels.tsv", lineno, f"node id {node} out of range for n={n}")
+        if not 0 <= label < num_classes:
+            _fail("labels.tsv", lineno, f"label {label} out of range for num_classes={num_classes}")
+        if labels[node] != -1:
+            _fail("labels.tsv", lineno, f"duplicate label for node {node}")
+        labels[node] = label
+    missing = np.flatnonzero(labels == -1)
+    if missing.size:
+        raise DatasetFormatError(f"labels.tsv: no label for node {int(missing[0])}")
+    return labels
 
 
 def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
     """Read a node<TAB>cluster file covering nodes 0..n-1 into cluster ids 0..K-1.
 
-    The file's K distinct ids, read as Python ints of any size, map to
-    0..K-1 in increasing order, as ``evaluate_partition`` maps them, so ids
-    past the int64 range load too. Ids already 0..K-1 map to themselves.
+    The file's K distinct ids map to 0..K-1 in increasing order, as
+    ``evaluate_partition`` maps them. Ids past the int64 range, which
+    numpy declines, load too: the row loop reads them as Python ints. Ids
+    already 0..K-1 map to themselves.
     """
     path = Path(path)
+    table = _read_table(path, _NODE_LABEL)
+    if table is not None and (table["label"] >= 0).all() and _one_row_per_node(table["node"], n):
+        clusters = np.empty(n, dtype=np.int64)
+        clusters[table["node"]] = table["label"]
+        return np.unique(clusters, return_inverse=True)[1].astype(np.int64, copy=False)
     clusters: list[int | None] = [None] * n
     for lineno, fields in _iter_rows(path, 2):
         node = _parse_int(path.name, lineno, fields[0], "node id")

@@ -21,7 +21,7 @@ from pottscluster import (
     ring_of_cliques,
     save_dataset,
 )
-from pottscluster import cli
+from pottscluster import cli, dataset
 from pottscluster.cli import main
 from pottscluster.dataset import adjacency_features, one_hot_degree_features
 
@@ -160,6 +160,105 @@ class TestLoadDataset:
         (tmp_path / "d" / "edges.tsv").write_text("0\t1\n1\t0\n0\t1\n")
         g, _, _ = load_dataset(tmp_path / "d")
         assert g.m == 1
+
+    @pytest.mark.parametrize("key", ["n", "num_features", "num_classes"])
+    def test_meta_count_past_int64(self, tmp_path, key):
+        write_minimal(tmp_path / "d")
+        meta = {"n": 2, "num_features": 1, "num_classes": 2, key: 10**19}
+        (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError, match=rf"^meta.json: {key} must be at most 2\*\*63 - 1, got 10{{19}}$"):
+            load_dataset(tmp_path / "d")
+
+
+def refuse_row_loop(path, expected_fields):
+    raise AssertionError(f"{path.name} fell back to the row loop")
+
+
+def snapshot(loaded):
+    """Every array load_dataset returns, with its dtype, as comparable bytes."""
+    g, x, labels = loaded
+    arrays = (g.row_ptr, g.col_idx, g.degrees, g.adj.data, x.indptr, x.indices, x.data, labels)
+    return (g.n, g.m, x.shape, x.has_canonical_format,
+            [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+class TestArrayReader:
+    """The C-parser path of the loader: what it reads itself, and that it matches the row loop."""
+
+    @pytest.mark.parametrize("content", ["", "\n\n", "\r\n\n\r"], ids=["empty", "blank", "blank-crlf"])
+    def test_empty_files_load_as_the_row_loop_reads_them(self, tmp_path, monkeypatch, content):
+        root = tmp_path / "d"
+        write_minimal(root)
+        for name in ("edges.tsv", "features.tsv", "labels.tsv"):
+            (root / name).write_bytes(content.encode())
+        (root / "labels.tsv").unlink()
+        assign = tmp_path / "a.tsv"
+        assign.write_bytes(content.encode())
+        with monkeypatch.context() as patch:  # empty files are read without the row loop
+            patch.setattr(dataset, "_iter_rows", refuse_row_loop)
+            g, x, labels = loaded = load_dataset(root)
+            empty = load_assignment(assign, 0)
+        assert g.m == 0 and g.row_ptr.tolist() == [0, 0, 0] and labels is None
+        assert x.shape == (2, 1) and x.nnz == 0 and x.has_canonical_format
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        (root / "labels.tsv").write_bytes(content.encode())
+        with pytest.raises(DatasetFormatError, match="^labels.tsv: no label for node 0$"):
+            load_dataset(root)
+        with pytest.raises(DatasetFormatError, match="^a.tsv: no cluster for node 0$"):
+            load_assignment(assign, 2)
+        (root / "labels.tsv").unlink()
+        monkeypatch.setattr(dataset, "_read_table", lambda *args: None)
+        assert snapshot(load_dataset(root)) == snapshot(loaded)
+        assert load_assignment(assign, 0).dtype == np.int64
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_canonical_files_never_fall_back(self, tmp_path, monkeypatch, line_end):
+        # the row loop would give the same arrays, only slower: no other test sees a fallback
+        g, labels = ring_of_cliques(4, 3)
+        x = adjacency_features(g)
+        x.data = np.random.default_rng(0).standard_normal(x.nnz)  # 17 significant digits on disk
+        root = tmp_path / "d"
+        save_dataset(root, g, x, labels)
+        assign = tmp_path / "assignment.tsv"  # gapped cluster ids 0, 5, 10, 15
+        assign.write_text("".join(f"{i}\t{c}\n" for i, c in enumerate(labels[::-1] * 5)))
+        for path in (root / "edges.tsv", root / "features.tsv", root / "labels.tsv", assign):
+            path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "_read_table", lambda *args: None)
+            expected = snapshot(load_dataset(root))
+        monkeypatch.setattr(dataset, "_iter_rows", refuse_row_loop)
+        g2, x2, labels2 = loaded = load_dataset(root)
+        assert snapshot(loaded) == expected
+        assert np.array_equal(g2.col_idx, g.col_idx) and np.array_equal(x2.toarray(), x.toarray())
+        assert labels2.dtype == np.int64 and np.array_equal(labels2, labels)
+        pred = load_assignment(assign, g.n)
+        assert pred.dtype == np.int64 and pred.tolist() == labels[::-1].tolist()
+
+    @pytest.mark.parametrize(
+        "content",
+        ["0\t1\n#0\t1\n", "0\t1\n1\t0\t\n", "\ufeff0\t1\n", "0\t1_0\n", "0\t+1\n", "0\t1.0\n", "0\t\u0661\n",
+         "0\t1\x1c\n", "1\t\u01fe\n", "1\t\u2460\n", "0\t1\x0b\n1\t\xa00\n"],
+        ids=["comment", "trailing-tab", "bom", "underscore", "plus", "float-id", "arabic-indic-digit",
+             "file-separator", "U+01FE", "circled-digit", "whitespace"],
+    )
+    def test_readers_agree_on_odd_text(self, tmp_path, monkeypatch, content):
+        # numpy reads \x1c as whitespace and U+01FE or a circled digit as a digit,
+        # where int() rejects all three; such text must reach the row loop
+        root = tmp_path / "d"
+        write_minimal(root)
+        (root / "edges.tsv").write_bytes(content.encode())
+        (tmp_path / "a.tsv").write_bytes(("0\t0\n" + content).encode())
+        outcomes = []
+        for row_loop_only in (False, True):
+            if row_loop_only:
+                monkeypatch.setattr(dataset, "_read_table", lambda *args: None)
+            for load, args in ((load_dataset, (root,)), (load_assignment, (tmp_path / "a.tsv", 2))):
+                try:
+                    result = load(*args)
+                    outcomes.append(snapshot(result) if load is load_dataset else (result.dtype, result.tolist()))
+                except DatasetFormatError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[:2] == outcomes[2:]
 
 
 class TestSaveDataset:
@@ -446,6 +545,13 @@ class TestCliTrain:
         (ring_dataset / "edges.tsv").write_text("0\tbroken\n")
         assert run_cli("train", "--data", str(ring_dataset),
                        "--out", str(tmp_path / "o")) == 3
+
+    def test_meta_count_past_int64_exits_3(self, tmp_path, ring_dataset, capsys):
+        (ring_dataset / "meta.json").write_text('{"n": 10000000000000000000, "num_features": 9, "num_classes": 3}')
+        assert run_cli("train", "--data", str(ring_dataset),
+                       "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "meta.json: n must be at most" in err and "Traceback" not in err
 
     def test_non_utf8_features_exits_3(self, tmp_path, ring_dataset, capsys):
         (ring_dataset / "features.tsv").write_bytes(b"0\t0\t1\n1\t0\t\xe9\n")

@@ -2,19 +2,26 @@
 """Property tests over generated graphs; the hypothesis profile is set in conftest.py."""
 from __future__ import annotations
 
+import json
 import tempfile
+from contextlib import nullcontext
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fd_gradient, fd_scalar, max_rel_err, objective_kw
 from pottscluster import (
+    DatasetFormatError,
     FeatureDropout,
+    dataset,
     evaluate_objective,
     from_edge_list,
+    load_assignment,
     load_dataset,
     normalized_adjacency,
     potts_loss,
@@ -94,6 +101,117 @@ def test_save_load_round_trip(data, graph, with_labels):
         assert np.array_equal(labels2, labels)
     else:
         assert labels2 is None
+
+
+# Text that numpy's C parser and the row loop might read differently: whitespace
+# either strips, numerals only Python reads, values the checks reject, ids
+# past int64, characters numpy mistakes for digits, and line-level changes.
+SPACES = " \x0b\x0c\xa0\u2003\x1c\x85"
+ODD_TOKENS = ["inf", "-inf", "nan", "Infinity", "1e999", "1e-400", "0x1p3", "1.0", "", "x", "-1", "-0", "007",
+              "9", str(2**63 - 1), str(2**63), str(10**30), "1\x00", "\u01fe", "\u2460"]
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def perturbed_tsv(draw, rows: list[list[str]]) -> bytes:
+    """The rows as a tab-separated file: up to three tokens and three lines altered, any line end, maybe a BOM."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        token = rows[i][j]
+        kind = draw(st.sampled_from(["pad", "plus", "underscore", "unicode", "odd"]))
+        if kind == "pad":
+            token = draw(st.text(SPACES, max_size=2)) + token + draw(st.text(SPACES, min_size=1, max_size=2))
+        elif kind == "plus":
+            token = "+" + token
+        elif kind == "underscore":
+            token = token[:1] + "_" + token[1:] if len(token) > 1 and token[1].isdigit() else "1_0"
+        elif kind == "unicode":
+            token = token.translate(ARABIC_INDIC)
+        else:
+            token = draw(st.sampled_from(ODD_TOKENS))
+        rows[i][j] = token
+    lines = ["\t".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["duplicate", "blank", "trailing-tab", "comment"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "duplicate" and lines:
+            lines.insert(at, lines[draw(st.integers(0, len(lines) - 1))])
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "", " ", "\t", "\x0c"])))
+        elif kind == "trailing-tab" and at < len(lines):
+            lines[at] += "\t"
+        elif kind == "comment":
+            lines.insert(at, "#" + "\t".join(rows[0]) if rows else "#")
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if lines and draw(st.booleans()) else "")
+    return (draw(st.sampled_from(["", "", "", "\ufeff"])) + text).encode("utf-8")
+
+
+def both_readers(load, *args):
+    """What ``load`` gives with numpy's reader and with the row loop alone: arrays as bytes, or the error."""
+    outcomes = []
+    for row_loop_only in (False, True):
+        with mock.patch.object(dataset, "_read_table", return_value=None) if row_loop_only else nullcontext():
+            try:
+                result = load(*args)
+            except DatasetFormatError as exc:
+                outcomes.append(str(exc))
+                continue
+        if isinstance(result, np.ndarray):
+            arrays = [result]
+        else:
+            g, x, labels = result
+            arrays = [g.row_ptr, g.col_idx, g.degrees, g.adj.data, x.indptr, x.indices, x.data, labels]
+        outcomes.append([None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+    return outcomes
+
+
+floats17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}")
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(1, 5), num_features=st.integers(1, 3), num_classes=st.integers(1, 3),
+       target=st.sampled_from(["edges.tsv", "features.tsv", "labels.tsv"]))
+def test_array_reader_agrees_with_row_loop(data, n, num_features, num_classes, target):
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=6), label="edges")
+    cells = data.draw(st.lists(st.tuples(node, st.integers(0, num_features - 1)), unique=True, max_size=6))
+    values = data.draw(st.lists(floats17, min_size=len(cells), max_size=len(cells)), label="values")
+    order = data.draw(st.permutations(range(n)), label="label order")
+    labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n), label="labels")
+    rows = {
+        "edges.tsv": [[str(u), str(v)] for u, v in edges],
+        "features.tsv": [[str(u), str(f), v] for (u, f), v in zip(cells, values)],
+        "labels.tsv": [[str(u), str(labels[u])] for u in order],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        meta = {"n": n, "num_features": num_features, "num_classes": num_classes}
+        (root / "meta.json").write_text(json.dumps(meta))
+        for name, file_rows in rows.items():
+            if name == target:
+                text = data.draw(perturbed_tsv(file_rows), label=name)
+            else:
+                text = "".join("\t".join(row) + "\n" for row in file_rows).encode()
+            (root / name).write_bytes(text)
+        first, second = both_readers(load_dataset, root)
+    assert first == second
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(0, 6))
+def test_assignment_readers_agree(data, n):
+    ids = st.one_of(st.integers(0, 5), st.sampled_from([10**12, 2**63 - 1, 2**63, 10**30]))
+    clusters = data.draw(st.lists(ids, min_size=n, max_size=n), label="clusters")
+    order = data.draw(st.permutations(range(n)), label="order")
+    text = data.draw(perturbed_tsv([[str(u), str(clusters[u])] for u in order]), label="a.tsv")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.tsv"
+        path.write_bytes(text)
+        first, second = both_readers(load_assignment, path, n)
+    assert first == second
 
 
 @pytest.mark.parametrize("kind", ["potts", "dmon", "mincut_ortho"])
