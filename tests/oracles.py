@@ -3,17 +3,23 @@
 
 Everything here recomputes quantities from dense matrices with explicit
 summation, deliberately avoiding the package's deflated/vectorized forms.
-``objective_kw`` gives the objective keywords that TrainConfig defaults.
+``objective_kw`` gives the objective keywords that TrainConfig defaults;
+``both_readers`` runs a loader with numpy's reader and with its reference
+row loop alone.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
+from contextlib import nullcontext
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
 from pottscluster import (
+    DatasetFormatError,
     DMON_GAMMA,
     SELU_ALPHA,
     SELU_LAMBDA,
@@ -21,9 +27,40 @@ from pottscluster import (
     ModelParams,
     TrainConfig,
     collapse_reg,
+    dataset,
     gamma_reg,
     ortho_reg,
 )
+
+
+def both_readers(load, *args):
+    """What ``load`` gives with numpy's reader and with the row loop alone: arrays as bytes, or the error.
+
+    Each load runs under warning filters that turn no warning into an error,
+    as outside the test suite, and must emit none.
+    """
+    outcomes = []
+    for row_loop_only in (False, True):
+        with (
+            mock.patch.object(dataset, "_read_table", return_value=None) if row_loop_only else nullcontext(),
+            warnings.catch_warnings(record=True) as caught,
+        ):
+            warnings.simplefilter("always")
+            try:
+                result = load(*args)
+            except DatasetFormatError as exc:
+                result = str(exc)
+        assert not caught, [str(w.message) for w in caught]
+        if isinstance(result, str):
+            outcomes.append(result)
+            continue
+        if isinstance(result, np.ndarray):
+            arrays = [result]
+        else:
+            g, x, labels = result
+            arrays = [g.row_ptr, g.col_idx, g.degrees, g.adj.data, x.indptr, x.indices, x.data, labels]
+        outcomes.append([None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+    return outcomes
 
 
 def objective_kw(**overrides) -> dict:

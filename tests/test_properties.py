@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
-from contextlib import nullcontext
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +12,9 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, fd_scalar, max_rel_err, objective_kw
+from oracles import both_readers, fd_gradient, fd_scalar, max_rel_err, objective_kw
 from pottscluster import (
-    DatasetFormatError,
     FeatureDropout,
-    dataset,
     evaluate_objective,
     from_edge_list,
     load_assignment,
@@ -147,25 +143,6 @@ def perturbed_tsv(draw, rows: list[list[str]]) -> bytes:
     end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     text = end.join(lines) + (end if lines and draw(st.booleans()) else "")
     return (draw(st.sampled_from(["", "", "", "\ufeff"])) + text).encode("utf-8")
-
-
-def both_readers(load, *args):
-    """What ``load`` gives with numpy's reader and with the row loop alone: arrays as bytes, or the error."""
-    outcomes = []
-    for row_loop_only in (False, True):
-        with mock.patch.object(dataset, "_read_table", return_value=None) if row_loop_only else nullcontext():
-            try:
-                result = load(*args)
-            except DatasetFormatError as exc:
-                outcomes.append(str(exc))
-                continue
-        if isinstance(result, np.ndarray):
-            arrays = [result]
-        else:
-            g, x, labels = result
-            arrays = [g.row_ptr, g.col_idx, g.degrees, g.adj.data, x.indptr, x.indices, x.data, labels]
-        outcomes.append([None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays])
-    return outcomes
 
 
 floats17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}")
