@@ -180,14 +180,17 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
             raise DatasetFormatError(f"missing required file: {name}")
     n, num_features, num_classes = _load_meta(root / "meta.json")
 
-    g = from_edge_list(_read_edges(root / "edges.tsv", n), n)
-    x = _read_features(root / "features.tsv", n, num_features)
-    labels_path = root / "labels.tsv"
-    labels: np.ndarray | None = None
-    if labels_path.is_file():
-        if num_classes < 1:
-            raise DatasetFormatError("meta.json: num_classes must be positive when labels.tsv is present")
-        labels = _read_labels(labels_path, n, num_classes)
+    try:  # n fits int64 but arrays of n + 1 entries may not fit in memory
+        g = from_edge_list(_read_edges(root / "edges.tsv", n), n)
+        x = _read_features(root / "features.tsv", n, num_features)
+        labels_path = root / "labels.tsv"
+        labels: np.ndarray | None = None
+        if labels_path.is_file():
+            if num_classes < 1:
+                raise DatasetFormatError("meta.json: num_classes must be positive when labels.tsv is present")
+            labels = _read_labels(labels_path, n, num_classes)
+    except MemoryError as exc:
+        raise DatasetFormatError(f"meta.json: out of memory building arrays for n={n} nodes") from exc
     return g, x, labels
 
 
@@ -219,7 +222,7 @@ def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
         x = sp.csr_matrix((table["value"], (table["node"], table["feature"])), shape=(n, num_features))
         if x.nnz == table.size:  # no (node, feature) pair was given twice
             return x
-    entries: dict[int, float] = {}  # row-major position node * num_features + feature -> value
+    entries: dict[tuple[int, int], float] = {}  # (node, feature) -> value
     for lineno, fields in _iter_rows(path, 3):
         node = _parse_int("features.tsv", lineno, fields[0], "node id")
         feat = _parse_int("features.tsv", lineno, fields[1], "feature index")
@@ -227,8 +230,7 @@ def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
             _fail("features.tsv", lineno, f"node id {node} out of range for n={n}")
         if not 0 <= feat < num_features:
             _fail("features.tsv", lineno, f"feature index {feat} out of range for num_features={num_features}")
-        key = node * num_features + feat
-        if key in entries:
+        if (node, feat) in entries:
             _fail("features.tsv", lineno, f"duplicate entry for node {node}, feature {feat}")
         try:
             value = float(fields[2])
@@ -236,11 +238,11 @@ def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
             _fail("features.tsv", lineno, f"value is not a number: {fields[2]!r}")
         if not math.isfinite(value):
             _fail("features.tsv", lineno, f"value is not finite: {fields[2]!r}")
-        entries[key] = value
-    # the COO -> CSR conversion sorts each row's indices; keys are unique
-    rows_cols = np.divmod(np.array(list(entries), dtype=np.int64), num_features)
+        entries[node, feat] = value
+    # the COO -> CSR conversion sorts each row's indices; the pairs are unique
+    nodes, feats = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
     values = np.array(list(entries.values()), dtype=np.float64)
-    return sp.csr_matrix((values, rows_cols), shape=(n, num_features))
+    return sp.csr_matrix((values, (nodes, feats)), shape=(n, num_features))
 
 
 def _read_labels(path: Path, n: int, num_classes: int) -> np.ndarray:
@@ -280,22 +282,21 @@ def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
     if table is not None and (table["label"] >= 0).all() and _one_row_per_node(table["node"], n):
         clusters = np.empty(n, dtype=np.int64)
         clusters[table["node"]] = table["label"]
-        return np.unique(clusters, return_inverse=True)[1].astype(np.int64, copy=False)
-    clusters: list[int | None] = [None] * n
-    for lineno, fields in _iter_rows(path, 2):
-        node = _parse_int(path.name, lineno, fields[0], "node id")
-        cluster = _parse_int(path.name, lineno, fields[1], "cluster id")
-        if not 0 <= node < n:
-            _fail(path.name, lineno, f"node id {node} out of range for n={n}")
-        if cluster < 0:
-            _fail(path.name, lineno, f"negative cluster id {cluster}")
-        if clusters[node] is not None:
-            _fail(path.name, lineno, f"duplicate entry for node {node}")
-        clusters[node] = cluster
-    if None in clusters:
-        raise DatasetFormatError(f"{path.name}: no cluster for node {clusters.index(None)}")
-    rank = {cluster: i for i, cluster in enumerate(sorted(set(clusters)))}
-    return np.array([rank[cluster] for cluster in clusters], dtype=np.int64)
+    else:
+        clusters = np.full(n, None, dtype=object)  # Python ints, so ids past int64 fit
+        for lineno, fields in _iter_rows(path, 2):
+            node = _parse_int(path.name, lineno, fields[0], "node id")
+            cluster = _parse_int(path.name, lineno, fields[1], "cluster id")
+            if not 0 <= node < n:
+                _fail(path.name, lineno, f"node id {node} out of range for n={n}")
+            if cluster < 0:
+                _fail(path.name, lineno, f"negative cluster id {cluster}")
+            if clusters[node] is not None:
+                _fail(path.name, lineno, f"duplicate entry for node {node}")
+            clusters[node] = cluster
+        if None in clusters:
+            raise DatasetFormatError(f"{path.name}: no cluster for node {list(clusters).index(None)}")
+    return np.unique(clusters, return_inverse=True)[1].astype(np.int64, copy=False)
 
 
 def feature_matrix(x: np.ndarray | sp.spmatrix, n: int) -> sp.csr_matrix:

@@ -26,8 +26,8 @@ class Graph:
     scipy's index dtype (int32 below 2**31 arcs). Every edge is stored in
     both directions, so ``len(col_idx) == 2*m``. Each row's column indices
     are sorted ascending, free of duplicates and self-loops, and
-    ``degrees[i]`` is the row's length. Instances are immutable and safe to
-    share across threads.
+    ``degrees[i]`` is the row's length. Instances are immutable, their
+    arrays read-only, and safe to share across threads.
     """
 
     n: int
@@ -39,7 +39,9 @@ class Graph:
 
     @cached_property
     def float_degrees(self) -> np.ndarray:  # ``degrees`` as float64, converted once
-        return self.degrees.astype(np.float64)
+        degrees = self.degrees.astype(np.float64)
+        degrees.flags.writeable = False
+        return degrees
 
     def arc_sources(self) -> np.ndarray:
         """Source node of every stored arc (row index expanded along row_ptr)."""
@@ -68,7 +70,10 @@ def from_edge_list(edges, n: int) -> Graph:
     # the COO -> CSR conversion sums repeated arcs and sorts each row
     adj = sp.csr_matrix((np.ones(2 * u.size), arcs), shape=(n, n))
     adj.data[:] = 1.0
-    return Graph(n, adj.indptr, adj.indices, adj.nnz // 2, np.diff(adj.indptr), adj)
+    degrees = np.diff(adj.indptr)
+    for shared in (adj.indptr, adj.indices, adj.data, degrees):
+        shared.flags.writeable = False  # operators such as normalized_adjacency(g) share them
+    return Graph(n, adj.indptr, adj.indices, adj.nnz // 2, degrees, adj)
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
@@ -85,9 +90,9 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
 def matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``a @ x`` into ``out`` and return it, bit for bit what ``a @ x`` gives.
 
-    A float64 CSR or CSC ``a`` runs the scipy kernel ``a @ x`` runs, with
-    the same arguments, on the zeroed ``out``; any other operand is
-    computed as ``a @ x`` and copied.
+    A float64 CSR or CSC ``a`` runs scipy's multi-vector kernel, for any
+    column count, on the zeroed ``out``; any other operand is computed as
+    ``a @ x`` and copied.
     """
     m, n, k = *a.shape, x.shape[-1]
     if x.ndim != 2 or x.shape[0] != n or out.shape != (m, k) or np.may_share_memory(x, out):
@@ -97,9 +102,8 @@ def matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         out[...] = a @ x
         return out
     out.fill(0.0)
-    vecs = () if k == 1 else (k,)  # scipy takes its one-vector kernel for one column
-    kernel = getattr(_sparsetools, f"{a.format}_matvec{'s' if vecs else ''}")
-    kernel(m, n, *vecs, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    kernel = getattr(_sparsetools, f"{a.format}_matvecs")
+    kernel(m, n, k, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
     return out
 
 

@@ -8,8 +8,8 @@ fixed, so the backward pass is a hand-derived reverse-mode chain rather
 than a tape.
 
 Both passes write into a ForwardCache's buffers, so reusing one cache, as
-the trainer does, allocates nothing (n, h)-sized; every product runs the
-kernel ``a @ b`` would, so no float changes.
+the trainer does, allocates nothing (n, h)-sized; every product is bit
+for bit what ``a @ b`` gives, so no float changes.
 """
 from __future__ import annotations
 

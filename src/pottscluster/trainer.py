@@ -156,16 +156,17 @@ class RunTrace:
 
 @dataclass
 class AdamState:
-    """Moment accumulators over the flat parameter vector, the step count, and adam_step's scratch."""
+    """Adam's moments over the flat parameter vector, its step count, and adam_step's scratch, made by ``zeros``."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray = field(repr=False)
     t: int = 0
-    scratch: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+        size = params.flat.size
+        return cls(m=np.zeros(size), v=np.zeros(size), scratch=np.empty((2, min(size, ADAM_BLOCK))))
 
 
 def init_params(num_features: int, config: TrainConfig) -> ModelParams:
@@ -197,8 +198,6 @@ def adam_step(
     matrix and gamma on its own, block by block into ``state.scratch``.
     """
     state.t += 1
-    if state.scratch is None:
-        state.scratch = np.empty((2, min(params.flat.size, ADAM_BLOCK)))
     for lo in range(0, params.flat.size, ADAM_BLOCK):
         block = slice(lo, lo + ADAM_BLOCK)
         p, m, v, g = params.flat[block], state.m[block], state.v[block], grads.flat[block]

@@ -23,7 +23,7 @@ from pottscluster import (
     ring_of_cliques,
     save_dataset,
 )
-from pottscluster import cli, dataset
+from pottscluster import cli, dataset, trainer
 from pottscluster.cli import main
 from pottscluster.dataset import adjacency_features, one_hot_degree_features
 
@@ -171,6 +171,19 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=rf"^meta.json: {key} must be at most 2\*\*63 - 1, got 10{{19}}$"):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("step", ["from_edge_list", "_read_features", "_read_labels"])
+    def test_unallocatable_n_is_a_format_error(self, tmp_path, monkeypatch, step):
+        # a count within int64 can still ask for more memory than there is
+        write_minimal(tmp_path / "d")
+        monkeypatch.setattr(dataset, step, out_of_memory)
+        with pytest.raises(DatasetFormatError, match=r"^meta.json: out of memory building arrays for n=2 nodes$"):
+            load_dataset(tmp_path / "d")
+
+
+def out_of_memory(*args, **kwargs):
+    """Stands in for an allocation the machine cannot make; no test asks for that memory."""
+    raise MemoryError
+
 
 def refuse_row_loop(path, expected_fields):
     raise AssertionError(f"{path.name} fell back to the row loop")
@@ -253,6 +266,18 @@ class TestArrayReader:
         for load, args in ((load_dataset, (root,)), (load_assignment, (tmp_path / "a.tsv", 2))):
             first, second = both_readers(load, *args)
             assert first == second
+
+    def test_features_past_int64_in_row_major_order_load_through_the_row_loop(self, tmp_path):
+        # node 3 of 2**62 features sits at row-major position 3 * 2**62, past int64
+        root = tmp_path / "d"
+        write_minimal(root, labels=False)
+        (root / "meta.json").write_text(json.dumps({"n": 4, "num_features": 2**62, "num_classes": 0}))
+        (root / "features.tsv").write_text(f"3\t{2**62 - 1}\t1.5\n2\t0\t-2\n")
+        first, second = both_readers(load_dataset, root)
+        assert first == second
+        _, x, _ = load_dataset(root)
+        assert x.shape == (4, 2**62) and x.indptr.tolist() == [0, 0, 0, 1, 2]
+        assert x.indices.tolist() == [0, 2**62 - 1] and x.data.tolist() == [-2.0, 1.5]
 
     @pytest.mark.filterwarnings("default")
     @pytest.mark.parametrize("lenient", [False, True], ids=["this-numpy", "float-fallback-numpy"])
@@ -571,6 +596,17 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert "meta.json: n must be at most" in err and "Traceback" not in err
 
+    def test_unallocatable_n_exits_3(self, tmp_path, ring_dataset, monkeypatch, capsys):
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "from_edge_list", out_of_memory)
+            assert run_cli("train", "--data", str(ring_dataset),
+                           "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "out of memory building arrays for n=9 nodes" in err and "Traceback" not in err
+        monkeypatch.setattr(trainer, "adam_step", out_of_memory)  # training's memory is not the dataset's
+        with pytest.raises(MemoryError):
+            run_cli("train", "--data", str(ring_dataset), "--out", str(tmp_path / "o"))
+
     def test_non_utf8_features_exits_3(self, tmp_path, ring_dataset, capsys):
         (ring_dataset / "features.tsv").write_bytes(b"0\t0\t1\n1\t0\t\xe9\n")
         assert run_cli("train", "--data", str(ring_dataset),
@@ -639,6 +675,21 @@ class TestCliEval:
         report = json.loads(capsys.readouterr().out)
         assert report["modularity"] == pytest.approx(50.0, abs=1e-12)
         assert report["nmi"] is None and report["pairwise_f1"] is None  # no labels.tsv
+
+    def test_wide_features_read_by_the_row_loop(self, tmp_path, capsys):
+        # an Arabic-Indic three sends features.tsv to the row loop, with node 3 of 2**62 features
+        assign = tmp_path / "a.tsv"
+        self.write_assignment(assign, [0, 0, 1, 1])
+        reports = []
+        for i, node in enumerate(["3", "\u0663"]):
+            root = tmp_path / f"d{i}"
+            root.mkdir()
+            (root / "meta.json").write_text(json.dumps({"n": 4, "num_features": 2**62, "num_classes": 0}))
+            (root / "edges.tsv").write_text("0\t1\n2\t3\n")
+            (root / "features.tsv").write_text(f"{node}\t0\t1\n", encoding="utf-8")
+            assert run_cli("eval", "--data", str(root), "--assignment", str(assign)) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and json.loads(reports[0])["num_clusters"] == 2
 
     def test_incomplete_assignment_exits_3(self, tmp_path, ring_dataset):
         assign = tmp_path / "a.tsv"

@@ -91,6 +91,16 @@ class TestAdjacencyMatrices:
         assert np.array_equal(ab.indptr, g.row_ptr)
         assert np.array_equal(ab.indices, g.col_idx)
 
+    def test_edit_of_a_sharing_operator_fails_and_leaves_graph(self):
+        g, _ = ring_of_cliques(4, 3)
+        arrays = (g.row_ptr, g.col_idx, g.degrees, g.adj.data, g.float_degrees)
+        before = [a.copy() for a in arrays]
+        ab = normalized_adjacency(g)
+        ab.data[:2] = 0.0
+        with pytest.raises(ValueError):
+            ab.eliminate_zeros()  # would compact the index arrays g shares
+        assert all(not a.flags.writeable and np.array_equal(a, b) for a, b in zip(arrays, before))
+
 
 class TestNormalizedAdjacency:
     def test_single_edge_values(self):

@@ -139,7 +139,7 @@ class TestGammaReg:
             gamma_reg(1.0, 0.0)
 
 
-class TestPmnTotal:
+class TestPottsObjectiveTotal:
     def test_potts_only_weights(self, two_disjoint_edges):
         c = hard_c([0, 0, 1, 1], 2)
         b, _, _ = evaluate_objective(
@@ -172,7 +172,7 @@ def dmon_structural(g, c):
     return evaluate_objective(g, c, 3.0, "dmon", **objective_kw())[0].potts
 
 
-class TestDmonLoss:
+class TestDmonObjective:
     def test_equals_potts_at_gamma_one(self):
         rng = np.random.default_rng(7)
         g = from_edge_list(random_edge_list(rng, 10, 0.4), 10)

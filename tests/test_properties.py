@@ -149,9 +149,10 @@ floats17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.
 
 
 @settings(max_examples=100)
-@given(data=st.data(), n=st.integers(1, 5), num_features=st.integers(1, 3), num_classes=st.integers(1, 3),
-       target=st.sampled_from(["edges.tsv", "features.tsv", "labels.tsv"]))
+@given(data=st.data(), n=st.integers(1, 5), num_features=st.one_of(st.integers(1, 3), st.just(2**62)),
+       num_classes=st.integers(1, 3), target=st.sampled_from(["edges.tsv", "features.tsv", "labels.tsv"]))
 def test_array_reader_agrees_with_row_loop(data, n, num_features, num_classes, target):
+    # 2**62 features: node * num_features + feature passes int64 from node 2 on
     node = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(node, node), max_size=6), label="edges")
     cells = data.draw(st.lists(st.tuples(node, st.integers(0, num_features - 1)), unique=True, max_size=6))
@@ -232,7 +233,7 @@ def test_potts_gamma_gradient_is_sum_of_squared_volume_shares(data, g, seed):
 @example(n=4, l=50, density=0.3, seed=1, keep=0.1)
 @example(n=4, l=50, density=0.3, seed=1, keep=0.9)
 @example(n=4, l=50, density=0.3, seed=1, keep=3.0e-17)
-def test_skip_ahead_dropout_matches_dense_draw(n, l, density, seed, keep):
+def test_kept_only_dropout_matches_dense_draw(n, l, density, seed, keep):
     x = sp.random(n, l, density=density, format="csr", random_state=np.random.default_rng(seed))
     x.data += 1.0  # every stored value nonzero, so the values show the mask
     ref = np.random.default_rng([seed, 1])

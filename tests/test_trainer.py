@@ -337,7 +337,7 @@ class ZeroMaskDropout:
         return self.dropped
 
 
-def test_skip_ahead_dropout_trains_like_dense_draw(monkeypatch, two_k4s):
+def test_kept_only_dropout_trains_like_dense_draw(monkeypatch, two_k4s):
     # skipping a dropped entry removes a +0 * w term from the products' sums: no float moves
     x = sp.random(8, 40, density=0.15, format="csr", random_state=np.random.default_rng(6))
     x.data += 0.5
@@ -544,7 +544,7 @@ def test_buffered_epoch_equals_allocating_reference(monkeypatch, loss, keep, den
 
 
 def test_one_hidden_unit_equals_allocating_reference(monkeypatch):
-    # one column: scipy's product takes its one-vector kernel, and so must the buffers
+    # one column: scipy's product takes its one-vector kernel, the buffers its multi-vector one
     g, x = small_csbm(seed=1)
     cfg = TrainConfig(seed=1, k=3, hidden=1, epochs=10)
     ours = train(g, x, cfg)
