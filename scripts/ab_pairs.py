@@ -14,7 +14,8 @@ neither side), and a verdict on the change's median against the parent's:
 
     worse       worse by more than the metric's bound, relative to the parent's median
     within      not worse by more than the bound
-    unresolved  the parent's interquartile range, relative to its median, exceeds the bound
+    unresolved  the parent's interquartile range, relative to its median, exceeds the
+                bound, and not every run of the change reads better than every run of the parent
 
 With --claim METRIC it also prints whether the change won at least nine
 tenths of at least ten pairs, and whether its median beats the parent's by
@@ -59,7 +60,8 @@ def tally(parent: list[float], change: list[float], better: str) -> tuple[int, i
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     q1, median, q3 = quartiles(parent)
-    if (q3 - q1) > bound * abs(median):
+    every_run_better = all(worsening(p, c, better) < 0 for p in parent for c in change)
+    if (q3 - q1) > bound * abs(median) and not every_run_better:
         return "unresolved"
     return "worse" if worsening(median, quartiles(change)[1], better) > bound else "within"
 

@@ -27,6 +27,8 @@ STEADY = [1.0] * 10
         ([100.0] * 10, [70.0] * 10, "higher", "worse"),
         ([100.0] * 10, [80.0] * 10, "higher", "within"),
         ([0.6, 0.8, 1.0, 1.2, 1.4] * 2, [2.0] * 10, "lower", "unresolved"),  # IQR 0.4 of median 1.0
+        ([0.6, 0.8, 1.0, 1.2, 1.4] * 2, [0.7] * 10, "lower", "unresolved"),
+        ([0.6, 0.8, 1.0, 1.2, 1.4] * 2, [0.5] * 10, "lower", "within"),  # every change run is better
         (STEADY, STEADY, "lower", "within"),
     ],
 )

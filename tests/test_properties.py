@@ -152,7 +152,7 @@ floats17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.
 @given(data=st.data(), n=st.integers(1, 5), num_features=st.one_of(st.integers(1, 3), st.just(2**62)),
        num_classes=st.integers(1, 3), target=st.sampled_from(["edges.tsv", "features.tsv", "labels.tsv"]))
 def test_array_reader_agrees_with_row_loop(data, n, num_features, num_classes, target):
-    # 2**62 features: node * num_features + feature passes int64 from node 2 on
+    # 2**62 features: a row-major key node * num_features + feature would pass int64 from node 2 on
     node = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(node, node), max_size=6), label="edges")
     cells = data.draw(st.lists(st.tuples(node, st.integers(0, num_features - 1)), unique=True, max_size=6))
