@@ -75,10 +75,8 @@ def claim(parent: list[float], change: list[float], better: str) -> tuple[bool, 
     return len(parent) >= MIN_CLAIM_PAIRS and won >= CLAIM_WIN_SHARE * len(parent), gain > q3 - q1
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int | None) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -98,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="the first pair's seed")
-    parser.add_argument("--seconds", type=int, help="measured time per run (run.py's default if omitted)")
     parser.add_argument("--claim", metavar="METRIC", help="also judge a claimed gain on this metric")
     args = parser.parse_args(argv)
 
@@ -111,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result = run_once(sides[side], args.workload, seed)
             if not result["correct"]:
                 print(f"error: the {side} run of pair {i} (seed {seed}) is not correct", file=sys.stderr)
                 return 1

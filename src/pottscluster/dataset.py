@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -162,6 +163,8 @@ def _load_meta(path: Path) -> tuple[int, int, int]:
     for key, val in zip(("n", "num_features", "num_classes"), out):
         if val > _INT64_MAX:  # past int64, numpy cannot size or index arrays by it
             raise DatasetFormatError(f"meta.json: {key} must be at most 2**63 - 1, got {val}")
+    if (n + 1) * np.dtype(np.int64).itemsize > sys.maxsize:  # numpy refuses to size the graph's row pointer
+        raise DatasetFormatError(f"meta.json: n={n} is too large: n + 1 int64 entries exceed the address space")
     return n, num_features, num_classes
 
 
@@ -180,7 +183,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
             raise DatasetFormatError(f"missing required file: {name}")
     n, num_features, num_classes = _load_meta(root / "meta.json")
 
-    try:  # n fits int64 but arrays of n + 1 entries may not fit in memory
+    try:  # arrays of n + 1 entries, or the files' own arrays, may not fit in memory
         g = from_edge_list(_read_edges(root / "edges.tsv", n), n)
         x = _read_features(root / "features.tsv", n, num_features)
         labels_path = root / "labels.tsv"
@@ -190,7 +193,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
                 raise DatasetFormatError("meta.json: num_classes must be positive when labels.tsv is present")
             labels = _read_labels(labels_path, n, num_classes)
     except MemoryError as exc:
-        raise DatasetFormatError(f"meta.json: out of memory building arrays for n={n} nodes") from exc
+        raise DatasetFormatError(f"out of memory loading the dataset (n={n} nodes)") from exc
     return g, x, labels
 
 

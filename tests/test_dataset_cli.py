@@ -171,12 +171,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=rf"^meta.json: {key} must be at most 2\*\*63 - 1, got 10{{19}}$"):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("n", [2**60, 2**62, 2**63 - 1])
+    def test_meta_n_past_the_address_space(self, tmp_path, n):
+        # numpy refuses n + 1 int64 entries before it allocates anything
+        write_minimal(tmp_path / "d")
+        (tmp_path / "d" / "meta.json").write_text(json.dumps({"n": n, "num_features": 1, "num_classes": 0}))
+        with pytest.raises(DatasetFormatError, match=rf"^meta.json: n={n} is too large: "):
+            load_dataset(tmp_path / "d")
+
     @pytest.mark.parametrize("step", ["from_edge_list", "_read_features", "_read_labels"])
     def test_unallocatable_n_is_a_format_error(self, tmp_path, monkeypatch, step):
         # a count within int64 can still ask for more memory than there is
         write_minimal(tmp_path / "d")
         monkeypatch.setattr(dataset, step, out_of_memory)
-        with pytest.raises(DatasetFormatError, match=r"^meta.json: out of memory building arrays for n=2 nodes$"):
+        with pytest.raises(DatasetFormatError, match=r"^out of memory loading the dataset \(n=2 nodes\)$"):
             load_dataset(tmp_path / "d")
 
 
@@ -596,13 +604,20 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert "meta.json: n must be at most" in err and "Traceback" not in err
 
+    def test_meta_n_past_the_address_space_exits_3(self, tmp_path, ring_dataset, capsys):
+        (ring_dataset / "meta.json").write_text(json.dumps({"n": 2**62, "num_features": 9, "num_classes": 3}))
+        assert run_cli("train", "--data", str(ring_dataset),
+                       "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert f"meta.json: n={2**62} is too large" in err and "Traceback" not in err
+
     def test_unallocatable_n_exits_3(self, tmp_path, ring_dataset, monkeypatch, capsys):
         with monkeypatch.context() as patch:
             patch.setattr(dataset, "from_edge_list", out_of_memory)
             assert run_cli("train", "--data", str(ring_dataset),
                            "--out", str(tmp_path / "o")) == 3
         err = capsys.readouterr().err
-        assert "out of memory building arrays for n=9 nodes" in err and "Traceback" not in err
+        assert "out of memory loading the dataset (n=9 nodes)" in err and "Traceback" not in err
         monkeypatch.setattr(trainer, "adam_step", out_of_memory)  # training's memory is not the dataset's
         with pytest.raises(MemoryError):
             run_cli("train", "--data", str(ring_dataset), "--out", str(tmp_path / "o"))
