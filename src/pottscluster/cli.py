@@ -31,6 +31,7 @@ from .dataset import (
 )
 from .graph import Graph, ring_of_cliques, sbm
 from .metrics import evaluate_partition, hard_assign
+from .model import ModelParams
 from .trainer import EpochRecord, TrainConfig, TrainDivergedError, run_seeds
 
 __all__ = ["main"]
@@ -80,6 +81,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"--seeds must be positive, got {args.seeds}")
     g, x, labels = _load_graph_dataset(args.data)
     _log(f"loaded {args.data}: n={g.n}, m={g.m}, features={x.shape[1]}")
+    if ModelParams.size(x.shape[1], config.hidden, config.k) * np.dtype(np.float64).itemsize > sys.maxsize:
+        raise DatasetFormatError(f"num_features={x.shape[1]} is too large: the weights exceed the address space")
     # fail on an unusable --out before training, not after it
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,7 @@ arrays, and it words every error with file and line number.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, from_edge_list
+from .graph import Graph, check_ids, from_edge_list
 
 __all__ = [
     "DatasetFormatError",
@@ -60,23 +61,34 @@ def _parse_int(name: str, lineno: int, token: str, what: str) -> int:
     raise AssertionError("unreachable")
 
 
-def _iter_rows(path: Path, expected_fields: int):
-    """Yield (lineno, fields) for each non-blank line, enforcing field count.
+def _read_bytes(path: Path) -> bytes:
+    """The file's bytes, read once, so a pipe such as ``<(cat a.tsv)`` loads too."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
-    A file that cannot be opened or is not UTF-8 raises DatasetFormatError
-    naming it.
+
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """``raw`` as ``open(path, encoding="utf-8")`` reads the file: same newlines, same decode errors."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+
+
+def _iter_rows(path: Path, raw: bytes, expected_fields: int):
+    """Yield (lineno, fields) for each non-blank line of the file ``path`` holding ``raw``, enforcing field count.
+
+    Text that is not UTF-8 raises DatasetFormatError naming the file.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != expected_fields:
-                    _fail(path.name, lineno, f"expected {expected_fields} tab-separated fields, got {len(fields)}")
-                yield lineno, fields
-    except (OSError, UnicodeDecodeError) as exc:
+        for lineno, line in enumerate(_text(raw), start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != expected_fields:
+                _fail(path.name, lineno, f"expected {expected_fields} tab-separated fields, got {len(fields)}")
+            yield lineno, fields
+    except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -87,22 +99,18 @@ _NODE_LABEL = np.dtype([("node", np.int64), ("label", np.int64)])  # labels.tsv 
 _FEATURE = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
 
 
-def _numpy_reads_like_python(path: Path) -> bool:
-    """Whether the file is text on which numpy's parser agrees with ``int()`` and ``float()``.
+def _numpy_reads_like_python(raw: bytes) -> bool:
+    """Whether ``raw`` is text on which numpy's parser agrees with ``int()`` and ``float()``.
 
     That is ASCII without the separators \\x1c-\\x1f: numpy strips those
     as whitespace, where ``int()`` rejects them, and reads some non-ASCII
     characters (U+01FE, circled digits) as digits of the wrong value.
     """
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return False
     return raw.isascii() and not any(sep in raw for sep in _NUMPY_ONLY_SPACES)
 
 
-def _read_table(path: Path, row: np.dtype) -> np.ndarray | None:
-    """A tab-separated file as records of ``row`` parsed by numpy's C reader, or None where it declines.
+def _read_table(path: Path, raw: bytes, row: np.dtype) -> np.ndarray | None:
+    """The file ``path`` holding ``raw`` as records of ``row`` parsed by numpy's C reader, or None where it declines.
 
     Blank lines are skipped, so a file with no other gives zero records.
     On the text it is given, numpy reads a subset of the numerals ``int()``
@@ -110,7 +118,7 @@ def _read_table(path: Path, row: np.dtype) -> np.ndarray | None:
     as an id, ids past int64, NUL and a line with a wrong field count.
     ``comments=None`` keeps a ``#`` line from being skipped.
     """
-    if not _numpy_reads_like_python(path):
+    if not _numpy_reads_like_python(raw):
         return None
     with warnings.catch_warnings():
         warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
@@ -118,9 +126,10 @@ def _read_table(path: Path, row: np.dtype) -> np.ndarray | None:
         # such as "1.5" through a float, warning only; as an error it declines
         warnings.filterwarnings("error", category=DeprecationWarning)
         try:
-            # the path again, not the bytes the check read: numpy reads a path in
-            # chunks but a file object line by line, 1.8x as long on csbm-cora
-            return np.loadtxt(path, dtype=row, delimiter="\t", comments=None, encoding="utf-8", ndmin=1)
+            # a regular file by its path again: numpy reads a path in chunks but a
+            # file object line by line, 1.8x as long on csbm-cora; a pipe is read once
+            source = path if path.is_file() else _text(raw)
+            return np.loadtxt(source, dtype=row, delimiter="\t", comments=None, encoding="utf-8", ndmin=1)
         except UserWarning:
             return np.empty(0, dtype=row)
         except (ValueError, OSError, DeprecationWarning):
@@ -199,11 +208,12 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
 
 def _read_edges(path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
     """edges.tsv's (u, v) pairs, each id checked against n."""
-    table = _read_table(path, _EDGE)
+    raw = _read_bytes(path)
+    table = _read_table(path, raw, _EDGE)
     if table is not None and _in_range(table["u"], n) and _in_range(table["v"], n):
         return np.column_stack((table["u"], table["v"]))
     edges = []
-    for lineno, fields in _iter_rows(path, 2):
+    for lineno, fields in _iter_rows(path, raw, 2):
         u = _parse_int("edges.tsv", lineno, fields[0], "node id")
         v = _parse_int("edges.tsv", lineno, fields[1], "node id")
         if not (0 <= u < n and 0 <= v < n):
@@ -214,7 +224,8 @@ def _read_edges(path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
 
 def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
     """features.tsv as a canonical (n, num_features) CSR matrix, rejecting duplicate and non-finite entries."""
-    table = _read_table(path, _FEATURE)
+    raw = _read_bytes(path)
+    table = _read_table(path, raw, _FEATURE)
     if (
         table is not None
         and _in_range(table["node"], n)
@@ -226,7 +237,7 @@ def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
         if x.nnz == table.size:  # no (node, feature) pair was given twice
             return x
     entries: dict[tuple[int, int], float] = {}  # (node, feature) -> value
-    for lineno, fields in _iter_rows(path, 3):
+    for lineno, fields in _iter_rows(path, raw, 3):
         node = _parse_int("features.tsv", lineno, fields[0], "node id")
         feat = _parse_int("features.tsv", lineno, fields[1], "feature index")
         if not 0 <= node < n:
@@ -250,13 +261,14 @@ def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
 
 def _read_labels(path: Path, n: int, num_classes: int) -> np.ndarray:
     """labels.tsv as an int64 label per node, every node labelled once."""
-    table = _read_table(path, _NODE_LABEL)
+    raw = _read_bytes(path)
+    table = _read_table(path, raw, _NODE_LABEL)
     if table is not None and _in_range(table["label"], num_classes) and _one_row_per_node(table["node"], n):
         labels = np.empty(n, dtype=np.int64)
         labels[table["node"]] = table["label"]
         return labels
     labels = np.full(n, -1, dtype=np.int64)
-    for lineno, fields in _iter_rows(path, 2):
+    for lineno, fields in _iter_rows(path, raw, 2):
         node = _parse_int("labels.tsv", lineno, fields[0], "node id")
         label = _parse_int("labels.tsv", lineno, fields[1], "label")
         if not 0 <= node < n:
@@ -281,13 +293,14 @@ def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
     already 0..K-1 map to themselves.
     """
     path = Path(path)
-    table = _read_table(path, _NODE_LABEL)
+    raw = _read_bytes(path)
+    table = _read_table(path, raw, _NODE_LABEL)
     if table is not None and (table["label"] >= 0).all() and _one_row_per_node(table["node"], n):
         clusters = np.empty(n, dtype=np.int64)
         clusters[table["node"]] = table["label"]
     else:
         clusters = np.full(n, None, dtype=object)  # Python ints, so ids past int64 fit
-        for lineno, fields in _iter_rows(path, 2):
+        for lineno, fields in _iter_rows(path, raw, 2):
             node = _parse_int(path.name, lineno, fields[0], "node id")
             cluster = _parse_int(path.name, lineno, fields[1], "cluster id")
             if not 0 <= node < n:
@@ -337,17 +350,14 @@ def save_dataset(
     canonical u < v order; features as nonzero triplets in row-major order
     with 17 significant digits. ``x`` may be a dense array or a scipy sparse
     matrix; both forms of the same matrix write the same files (see
-    ``feature_matrix``). meta.json's ``num_classes`` is the largest label
-    plus one, or 0 without labels.
+    ``feature_matrix``). ``labels`` are checked by check_ids, so float and
+    bool labels are rejected, not cast. meta.json's ``num_classes`` is the
+    largest label plus one, or 0 without labels.
     """
     x = feature_matrix(x, g.n)
     num_classes = 0
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (g.n,):
-            raise ValueError(f"labels shape {labels.shape} does not match n={g.n}")
-        if labels.size and labels.min() < 0:
-            raise ValueError("labels must be non-negative")
+        labels = check_ids(labels, "labels", g.n)
         num_classes = int(labels.max()) + 1 if labels.size else 0
 
     root = Path(path)

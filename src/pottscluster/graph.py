@@ -48,22 +48,36 @@ class Graph:
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
 
+def check_ids(ids, what: str, n: int | None = None) -> np.ndarray:
+    """``ids`` as an array, checked to be integers, shaped (n,) if n is given, and non-negative.
+
+    Float, string and bool ids are rejected, and nothing is cast, so uint64
+    ids past the int64 range keep their value.
+    """
+    ids = np.asarray(ids)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got {ids.dtype} values")
+    if n is not None and ids.shape != (n,):
+        raise ValueError(f"{what} shape {ids.shape} does not match n={n}")
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"{what} out of bounds: {ids.min()} is negative")
+    return ids
+
+
 def from_edge_list(edges, n: int) -> Graph:
     """Build a Graph from (u, v) pairs.
 
-    Node ids must be integers: a float or string id is rejected, not cast.
-    Self-loops are dropped and duplicate edges, in either orientation,
-    collapse to a single undirected edge.
+    Node ids are checked by check_ids, then against n. Self-loops are
+    dropped and duplicate edges, in either orientation, collapse to a
+    single undirected edge.
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"node ids must be integers, got {arr.dtype} values")
-    arr = arr.astype(np.int64).reshape(-1, 2)
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        bad = arr[(arr < 0).any(axis=1) | (arr >= n).any(axis=1)][0]
+    arr = check_ids(list(edges) if not isinstance(edges, np.ndarray) else edges, "node ids").reshape(-1, 2)
+    if arr.size and arr.max() >= n:
+        bad = arr[(arr >= n).any(axis=1)][0]
         raise ValueError(f"edge ({bad[0]},{bad[1]}) out of bounds for n={n}")
+    arr = arr.astype(np.int64)
 
     u, v = arr[arr[:, 0] != arr[:, 1]].T
     arcs = np.concatenate([u, v]), np.concatenate([v, u])
@@ -83,7 +97,7 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     empty rows; no self-loop augmentation is applied.
     """
     src = g.arc_sources()
-    values = 1.0 / np.sqrt(g.degrees[src].astype(np.float64) * g.degrees[g.col_idx])
+    values = 1.0 / np.sqrt(g.float_degrees[src] * g.float_degrees[g.col_idx])
     return sp.csr_matrix((values, g.col_idx, g.row_ptr), shape=(g.n, g.n))
 
 
@@ -94,16 +108,16 @@ def matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     column count, on the zeroed ``out``; any other operand is computed as
     ``a @ x`` and copied.
     """
-    m, n, k = *a.shape, x.shape[-1]
-    if x.ndim != 2 or x.shape[0] != n or out.shape != (m, k) or np.may_share_memory(x, out):
-        raise ValueError(f"cannot write {a.shape} @ {x.shape} into {out.shape}: it must be ({m}, {k}), apart from x")
+    m, n = a.shape
+    if x.ndim != 2 or x.shape[0] != n or out.shape != (m, x.shape[1]) or np.may_share_memory(x, out):
+        raise ValueError(f"cannot write {a.shape} @ {x.shape} into {out.shape}: need x ({n}, k), out ({m}, k), apart from x")
     compressed = sp.issparse(a) and a.format in ("csr", "csc") and out.flags.c_contiguous
     if not (compressed and a.dtype == x.dtype == out.dtype == np.float64):
         out[...] = a @ x
         return out
     out.fill(0.0)
     kernel = getattr(_sparsetools, f"{a.format}_matvecs")
-    kernel(m, n, k, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    kernel(m, n, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel())
     return out
 
 
@@ -112,13 +126,11 @@ def spmm(a: sp.spmatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
     scipy's CSR kernel accumulates each row sequentially in stored order,
     which is ascending column index for the graph's matrices, so results
-    are deterministic. The product goes into ``out`` when given (see
-    matmul_into) and into a new array otherwise.
+    are deterministic. The product goes into ``out`` when given and into a
+    new array otherwise; matmul_into checks the operands.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != a.shape[1]:
-        raise ValueError(f"expected dense matrix with {a.shape[1]} rows, got shape {x.shape}")
-    return matmul_into(a, x, np.empty((a.shape[0], x.shape[1])) if out is None else out)
+    return matmul_into(a, x, np.empty(a.shape[:1] + x.shape[1:]) if out is None else out)
 
 
 def ring_of_cliques(c: int, s: int) -> tuple[Graph, np.ndarray]:

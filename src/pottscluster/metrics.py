@@ -2,8 +2,10 @@
 """Partition quality metrics, all reported on a 0..100 scale.
 
 Graph-aware metrics (modularity, conductance) take the Graph; label-only
-metrics (NMI, pairwise F1) compare two integer label vectors. Hard labels
-come from a soft assignment via row-wise argmax.
+metrics (NMI, pairwise F1) compare two integer label vectors. Every label
+vector is checked by ``graph.check_ids`` (integers, non-negative, never
+cast) and its ids ranked once. Hard labels come from a soft assignment via
+row-wise argmax.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_ids
 
 __all__ = [
     "hard_assign",
@@ -32,46 +34,36 @@ def hard_assign(c: np.ndarray) -> np.ndarray:
     return np.argmax(c, axis=1).astype(np.int64)
 
 
-def _integer_labels(labels, n: int | None = None) -> np.ndarray:
-    """``labels`` as int64, checked to be (n,) if n is given.
+def _ranked(labels, n: int) -> tuple[int, np.ndarray]:
+    """(K, ranks): ``labels``, checked by check_ids, with its K distinct ids mapped to 0..K-1 in increasing order.
 
-    Float, string and bool labels are rejected, not cast.
+    Memory then grows with n, not with the largest id, and every rank is an
+    occupied cluster.
     """
-    labels = np.asarray(labels)
-    if labels.size and not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"cluster labels must be integers, got {labels.dtype} values")
-    if n is not None and labels.shape != (n,):
-        raise ValueError(f"labels shape {labels.shape} does not match n={n}")
-    return labels.astype(np.int64)
+    ids, ranks = np.unique(check_ids(labels, "cluster labels", n), return_inverse=True)
+    return ids.size, ranks
 
 
-def _cluster_tallies(g: Graph, labels: np.ndarray):
-    """Per-cluster (internal edge count, degree volume) from the arc list.
-
-    Cluster ids are first mapped to 0..K-1 in increasing order, so memory
-    grows with n, not with the largest id, and every tallied cluster is
-    non-empty.
-    """
-    _, labels = np.unique(labels, return_inverse=True)
-    k = int(labels.max()) + 1 if labels.size else 0
+def _graph_scores(g: Graph, k: int, ranks: np.ndarray) -> tuple[float, float]:
+    """(modularity, conductance) of the partition into ranks 0..k-1, from per-cluster tallies of the arc list."""
+    if g.m < 1:
+        raise ValueError("modularity and conductance are undefined on an edgeless graph (m=0)")
     src = g.arc_sources()
-    dst = g.col_idx
-    same = labels[src] == labels[dst]
+    same = ranks[src] == ranks[g.col_idx]
     # each undirected internal edge contributes two arcs
-    internal = np.bincount(labels[src][same], minlength=k) / 2.0
-    volume = np.bincount(labels, weights=g.float_degrees, minlength=k)
-    return internal, volume
+    internal = np.bincount(ranks[src][same], minlength=k) / 2.0
+    volume = np.bincount(ranks, weights=g.float_degrees, minlength=k)
+    two_m = 2.0 * g.m
+    q = float(np.sum(internal / g.m) - np.sum((volume / two_m) ** 2))
+    cut = volume - 2.0 * internal  # arcs leaving each cluster
+    denom = np.minimum(volume, two_m - volume)
+    phi = np.divide(cut, denom, out=np.zeros_like(cut), where=denom != 0)
+    return 100.0 * q, 100.0 * float(np.mean(phi))
 
 
 def modularity(g: Graph, labels: np.ndarray) -> float:
     """Newman modularity of a hard partition, scaled by 100."""
-    if g.m < 1:
-        raise ValueError("modularity is undefined on an edgeless graph (m=0)")
-    labels = _integer_labels(labels, g.n)
-    internal, volume = _cluster_tallies(g, labels)
-    two_m = 2.0 * g.m
-    q = float(np.sum(internal / g.m) - np.sum((volume / two_m) ** 2))
-    return 100.0 * q
+    return _graph_scores(g, *_ranked(labels, g.n))[0]
 
 
 def conductance(g: Graph, labels: np.ndarray) -> float:
@@ -80,57 +72,44 @@ def conductance(g: Graph, labels: np.ndarray) -> float:
     A cluster's conductance is cut / min(vol, 2m - vol); a cluster with zero
     min-volume contributes 0.
     """
-    if g.m < 1:
-        raise ValueError("conductance is undefined on an edgeless graph (m=0)")
-    labels = _integer_labels(labels, g.n)
-    internal, volume = _cluster_tallies(g, labels)
-    cut = volume - 2.0 * internal  # arcs leaving each cluster
-    two_m = 2.0 * g.m
-    denom = np.minimum(volume, two_m - volume)
-    vals = np.divide(cut, denom, out=np.zeros_like(cut), where=denom != 0)
-    return 100.0 * float(np.mean(vals))
+    return _graph_scores(g, *_ranked(labels, g.n))[1]
 
 
-def _contingency(pred, truth):
-    """Occupied cells of the (pred, truth) count table, after checking both label vectors.
+def _label_scores(pred: np.ndarray, classes: int, truth: np.ndarray) -> tuple[float, float]:
+    """(NMI, pairwise F1) of ranks ``pred`` against ranks ``truth`` (0..classes-1).
 
-    Both vectors are mapped to 0..K-1 in increasing order, so memory grows
-    with n, not with the table. Returns (rows, cols, counts, row_sums,
-    col_sums): the occupied cells in row-major order and the table's
-    marginals.
+    Both come from the occupied cells of the count table, so memory grows
+    with n, not with the table.
     """
-    pred, truth = _integer_labels(pred), _integer_labels(truth)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(f"label shapes differ: {pred.shape} vs {truth.shape}")
-    if pred.size == 0:
+    cells, counts = np.unique(pred * classes + truth, return_counts=True)
+    rows, cols = np.divmod(cells, classes)
+    row_sums, col_sums = np.bincount(pred), np.bincount(truth)
+    pa, pb, pj = row_sums / pred.size, col_sums / pred.size, counts / pred.size
+    ha, hb = (float(-np.sum(p * np.log(p))) for p in (pa, pb))
+    if ha == 0.0 and hb == 0.0:  # both sides put everything in one cluster: identical partitions
+        nmi_score = 100.0
+    else:
+        mi = float(np.sum(pj * (np.log(pj) - np.log(pa[rows] * pb[cols]))))
+        nmi_score = 100.0 * float(np.clip(mi / ((ha + hb) / 2.0), 0.0, 1.0))
+    # node pairs that share a cell, a predicted cluster, a class
+    tp, pred_pairs, truth_pairs = (float(np.sum(c * (c - 1.0) / 2.0)) for c in (counts, row_sums, col_sums))
+    precision = tp / pred_pairs if pred_pairs > 0 else 0.0
+    recall = tp / truth_pairs if truth_pairs > 0 else 0.0
+    f1 = 0.0 if precision + recall == 0.0 else 100.0 * 2.0 * precision * recall / (precision + recall)
+    return nmi_score, f1
+
+
+def _label_pair(pred, truth) -> tuple[np.ndarray, int, np.ndarray]:
+    """_label_scores' arguments: two label vectors of one length, each checked and ranked once."""
+    n = np.size(pred)
+    if n == 0:
         raise ValueError("cannot score empty label vectors")
-    if pred.min() < 0 or truth.min() < 0:
-        raise ValueError("cluster labels must be non-negative")
-    _, pred = np.unique(pred, return_inverse=True)
-    classes, truth = np.unique(truth, return_inverse=True)
-    cells, counts = np.unique(pred * classes.size + truth, return_counts=True)
-    rows, cols = np.divmod(cells, classes.size)
-    return rows, cols, counts, np.bincount(pred), np.bincount(truth)
+    return _ranked(pred, n)[1], *_ranked(truth, n)
 
 
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     """Normalized mutual information (arithmetic mean normalization), x100."""
-    rows, cols, counts, row_sums, col_sums = _contingency(pred, truth)
-    n = int(row_sums.sum())
-    pa = row_sums / n
-    pb = col_sums / n
-    pj = counts / n
-
-    def entropy(p: np.ndarray) -> float:
-        return float(-np.sum(p * np.log(p)))
-
-    ha, hb = entropy(pa), entropy(pb)
-    if ha == 0.0 and hb == 0.0:
-        # both sides put everything in one cluster: identical partitions
-        return 100.0
-    mi = float(np.sum(pj * (np.log(pj) - np.log(pa[rows] * pb[cols]))))
-    value = mi / ((ha + hb) / 2.0)
-    return 100.0 * float(np.clip(value, 0.0, 1.0))
+    return _label_scores(*_label_pair(pred, truth))[0]
 
 
 def pairwise_f1(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -139,20 +118,7 @@ def pairwise_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     A pair counts as positive when both nodes share a cluster. Precision and
     recall degenerate to 0 when their denominators vanish, as does F1.
     """
-    _, _, cell_counts, row_sums, col_sums = _contingency(pred, truth)
-
-    def pairs(counts: np.ndarray) -> float:
-        c = counts.astype(np.float64)
-        return float(np.sum(c * (c - 1.0) / 2.0))
-
-    tp = pairs(cell_counts)
-    pred_pairs = pairs(row_sums)
-    truth_pairs = pairs(col_sums)
-    precision = tp / pred_pairs if pred_pairs > 0 else 0.0
-    recall = tp / truth_pairs if truth_pairs > 0 else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 100.0 * 2.0 * precision * recall / (precision + recall)
+    return _label_scores(*_label_pair(pred, truth))[1]
 
 
 @dataclass(frozen=True)
@@ -167,12 +133,12 @@ class MetricsReport:
 
 
 def evaluate_partition(g: Graph, pred: np.ndarray, truth: np.ndarray | None = None) -> MetricsReport:
-    """Score a hard partition of g, its ids mapped to 0..K-1 in order, optionally against truth."""
-    clusters, pred = np.unique(_integer_labels(pred, g.n), return_inverse=True)
-    return MetricsReport(
-        modularity=modularity(g, pred),
-        conductance=conductance(g, pred),
-        num_clusters=clusters.size,
-        nmi=None if truth is None else nmi(pred, truth),
-        pairwise_f1=None if truth is None else pairwise_f1(pred, truth),
-    )
+    """Score a hard partition of g, its ids mapped to 0..K-1 in order, optionally against truth.
+
+    Each label vector is checked and ranked once, and the scores are those
+    of the metric functions.
+    """
+    k, pred = _ranked(pred, g.n)
+    q, phi = _graph_scores(g, k, pred)
+    nmi_score, f1 = (None, None) if truth is None else _label_scores(pred, *_ranked(truth, g.n))
+    return MetricsReport(q, phi, k, nmi_score, f1)

@@ -46,8 +46,13 @@ class ModelParams:
     entry.
     """
 
+    @staticmethod
+    def size(l: int, h: int, k: int) -> int:
+        """Length of ``flat`` for l features, h hidden units and k clusters."""
+        return 2 * l * h + h * k + 1
+
     def __init__(self, l: int, h: int, k: int):
-        self.flat = np.zeros(2 * l * h + h * k + 1)
+        self.flat = np.zeros(self.size(l, h, k))
         self.w_in = self.flat[: 2 * l * h].reshape(l, 2 * h)
         self.w = self.w_in[:, :h]
         self.w_skip = self.w_in[:, h:]
@@ -64,11 +69,12 @@ class ForwardCache:
     forward() overwrites all of them and backward() all but ``c``, so ``c``
     and backward()'s result ``grad`` last until the next call on the cache.
     Buffers hold several intermediates in turn: four (n, h) arrays in all.
+    forward() also binds the operators backward() reads: ``abar``, ``x_t``
+    and ``w_out``.
     """
 
-    def __init__(self, abar: sp.csr_matrix, x_t, params: ModelParams):
-        n, (l, h), k = abar.shape[0], params.w.shape, params.w_out.shape[1]
-        self.abar, self.x_t, self.w_out = abar, x_t, params.w_out
+    def __init__(self, n: int, params: ModelParams):
+        (l, h), k = params.w.shape, params.w_out.shape[1]
         # X W_in, then (as ``spare``, two C-contiguous halves) scratch for
         # SeLU and its derivative, and last [Abar dH_pre | dH_pre]
         self.xw = np.empty((n, 2 * h))
@@ -137,9 +143,8 @@ def forward(
         raise ValueError(f"features must be ({abar.shape[0]}, l), got {x.shape}")
     if x.shape[1] != params.w_in.shape[0]:
         raise ValueError(f"features have {x.shape[1]} columns, w has {params.w_in.shape[0]} rows")
-    x_t = x.T if x_t is None else x_t
-    cache = ForwardCache(abar, x_t, params) if cache is None else cache
-    cache.abar, cache.x_t, cache.w_out = abar, x_t, params.w_out
+    cache = ForwardCache(abar.shape[0], params) if cache is None else cache
+    cache.abar, cache.x_t, cache.w_out = abar, x.T if x_t is None else x_t, params.w_out
     h, xw = params.w.shape[1], matmul_into(x, params.w_in, cache.xw)
     np.copyto(cache.h, xw[:, :h])  # the CSR kernel reads X W contiguous, as a @ x copies it
     spmm(abar, cache.h, out=cache.h_pre)

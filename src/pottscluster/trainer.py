@@ -243,7 +243,7 @@ class FeatureDropout:
 
     def draw(self) -> sp.csr_matrix:
         """Apply a fresh mask to x, returning ``dropped``; ``dropped_t`` follows it."""
-        if self.keep < 1.0:
+        if self.rng is not None:
             x = self.x
             self.rng.random(out=self.uniforms)
             kept = np.flatnonzero(np.less(self.uniforms, self.keep, out=self.mask))

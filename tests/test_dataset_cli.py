@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,19 @@ def out_of_memory(*args, **kwargs):
     raise MemoryError
 
 
-def refuse_row_loop(path, expected_fields):
+@contextmanager
+def piped(content: bytes):
+    """A /dev/fd path to the read end of a pipe holding ``content``, as ``<(cat file)`` gives."""
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(content)
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+def refuse_row_loop(path, *args):
     raise AssertionError(f"{path.name} fell back to the row loop")
 
 
@@ -274,6 +287,16 @@ class TestArrayReader:
         for load, args in ((load_dataset, (root,)), (load_assignment, (tmp_path / "a.tsv", 2))):
             first, second = both_readers(load, *args)
             assert first == second
+
+    @pytest.mark.parametrize(
+        "content, ids",
+        [(b"0\t5\n1\t5\n2\t9\n", [0, 0, 1]), (b"0\t5\n1\t5\n2\t\xd9\xa3\n", [1, 1, 0])],
+        ids=["array-reader", "row-loop"],
+    )
+    def test_assignment_from_a_pipe_loads(self, content, ids):
+        # a pipe can be read once: a second open finds it empty
+        with piped(content) as path:
+            assert load_assignment(path, 3).tolist() == ids
 
     def test_features_past_int64_in_row_major_order_load_through_the_row_loop(self, tmp_path):
         # node 3 of 2**62 features sits at row-major position 3 * 2**62, past int64
@@ -622,6 +645,17 @@ class TestCliTrain:
         with pytest.raises(MemoryError):
             run_cli("train", "--data", str(ring_dataset), "--out", str(tmp_path / "o"))
 
+    def test_unsizable_weights_exit_3_before_out_is_made(self, tmp_path, capsys):
+        # 2 * 2**62 * 64 weights: numpy refuses to size them before it allocates
+        root = tmp_path / "wide"
+        write_minimal(root)
+        (root / "meta.json").write_text(json.dumps({"n": 2, "num_features": 2**62, "num_classes": 2}))
+        out = tmp_path / "o"
+        assert run_cli("train", "--data", str(root), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"num_features={2**62} is too large" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_utf8_features_exits_3(self, tmp_path, ring_dataset, capsys):
         (ring_dataset / "features.tsv").write_bytes(b"0\t0\t1\n1\t0\t\xe9\n")
         assert run_cli("train", "--data", str(ring_dataset),
@@ -705,6 +739,15 @@ class TestCliEval:
             assert run_cli("eval", "--data", str(root), "--assignment", str(assign)) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1] and json.loads(reports[0])["num_clusters"] == 2
+
+    def test_assignment_from_a_pipe(self, tmp_path, ring_dataset, capsys):
+        assign = tmp_path / "a.tsv"
+        self.write_assignment(assign, [i // 3 for i in range(9)])
+        assert run_cli("eval", "--data", str(ring_dataset), "--assignment", str(assign)) == 0
+        expected = capsys.readouterr().out
+        with piped(assign.read_bytes()) as path:  # eval --assignment <(cat a.tsv)
+            assert run_cli("eval", "--data", str(ring_dataset), "--assignment", path) == 0
+        assert capsys.readouterr().out == expected
 
     def test_incomplete_assignment_exits_3(self, tmp_path, ring_dataset):
         assign = tmp_path / "a.tsv"

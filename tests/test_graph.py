@@ -46,6 +46,11 @@ class TestFromEdgeList:
         with pytest.raises(ValueError, match="out of bounds"):
             from_edge_list([(-1, 0)], 3)
 
+    def test_uint64_edge_message_names_the_real_id(self):
+        # the range check runs before the int64 cast, which would print -2**63
+        with pytest.raises(ValueError, match=r"^edge \(0,9223372036854775808\) out of bounds for n=3$"):
+            from_edge_list(np.array([[0, 2**63]], dtype=np.uint64), 3)
+
     def test_empty_graph(self):
         g = from_edge_list([], 3)
         assert g.m == 0
@@ -315,3 +320,13 @@ def test_product_shape_mismatch_rejected_before_the_kernel():
     square, x = sp.identity(4, format="csr"), np.ones((4, 2))
     with pytest.raises(ValueError, match="apart from x"):  # zeroing out would erase x first
         spmm(square, x, out=x)
+
+
+@pytest.mark.parametrize("x", [np.float64(1.0), np.ones(4)], ids=["0-d", "1-d"])
+def test_operand_without_columns_is_a_value_error(x):
+    # matmul_into checks the dimension before it reads a column count
+    a = sp.random(5, 4, density=0.5, format="csr", random_state=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="cannot write"):
+        spmm(a, x)
+    with pytest.raises(ValueError, match="cannot write"):
+        matmul_into(a, x, np.empty((5, 1)))

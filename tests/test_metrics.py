@@ -26,6 +26,7 @@ from pottscluster import (
     nmi,
     pairwise_f1,
     ring_of_cliques,
+    save_dataset,
     softmax_rows,
 )
 
@@ -255,8 +256,10 @@ class TestEvaluatePartition:
     "labels",
     [[0, 0.9, 1.2, 1.7, 0, 0, 1, 1], ["0", "0", "1", "1", "0", "0", "1", "1"], [0.0] * 8, [True] * 8],
 )
-def test_non_integer_labels_rejected(two_k4s, labels):
+def test_non_integer_labels_rejected(two_k4s, labels, tmp_path):
     # a float or string label is not cast: 0.9 and 1.2 are not one cluster
+    with pytest.raises(ValueError, match="integer"):
+        save_dataset(tmp_path, two_k4s, np.eye(8), labels)
     for score in (evaluate_partition, modularity, conductance):
         with pytest.raises(ValueError, match="integer"):
             score(two_k4s, labels)
@@ -268,6 +271,34 @@ def test_non_integer_labels_rejected(two_k4s, labels):
     truth = np.array([0] * 4 + [1] * 4)
     with pytest.raises(ValueError, match="integer"):
         evaluate_partition(two_k4s, truth, labels)
+
+
+@pytest.mark.parametrize("entry", ["modularity", "conductance", "nmi", "pairwise_f1", "evaluate_partition"])
+def test_negative_ids_rejected_by_every_entry_point(two_k4s, entry):
+    labels = np.array([0] * 4 + [1] * 4)
+    shifted = labels - 5  # ranks like labels, but no id may be negative
+    calls = {
+        "modularity": [lambda: modularity(two_k4s, shifted)],
+        "conductance": [lambda: conductance(two_k4s, shifted)],
+        "nmi": [lambda: nmi(shifted, labels), lambda: nmi(labels, shifted)],
+        "pairwise_f1": [lambda: pairwise_f1(shifted, labels), lambda: pairwise_f1(labels, shifted)],
+        "evaluate_partition": [lambda: evaluate_partition(two_k4s, shifted, labels),
+                               lambda: evaluate_partition(two_k4s, labels, shifted)],
+    }
+    for call in calls[entry]:
+        with pytest.raises(ValueError, match="-5 is negative"):
+            call()
+
+
+def test_ids_past_int64_score_by_their_value(two_k4s):
+    # uint64 ids at 2**63 and beyond are ranked as they are, never cast to int64
+    truth = np.array([0] * 4 + [1] * 4)
+    big = truth.astype(np.uint64) + np.uint64(2**63)
+    pred = np.array([0, 0, 0, 1, 1, 1, 1, 2])
+    assert nmi(pred, big) == nmi(pred, truth) and nmi(big, pred) == nmi(truth, pred)
+    assert pairwise_f1(pred, big) == pairwise_f1(pred, truth) and pairwise_f1(big, pred) == pairwise_f1(truth, pred)
+    assert evaluate_partition(two_k4s, pred, big) == evaluate_partition(two_k4s, pred, truth)
+    assert evaluate_partition(two_k4s, big, big) == evaluate_partition(two_k4s, truth, truth)
 
 
 def test_integer_labels_of_any_width_accepted(two_k4s):
