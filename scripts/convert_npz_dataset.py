@@ -8,7 +8,10 @@ citation-network dumps use. The output directory follows the meta.json /
 edges.tsv / features.tsv / labels.tsv convention the loader expects. Every
 stored nonzero of the adjacency, whatever its weight or sign, becomes an
 undirected edge; arcs stored in both directions merge and self-loops are
-dropped.
+dropped. Labels are passed on as stored, so ``save_dataset`` decides which
+it accepts. An archive that cannot be read or converted prints
+``error: <message>`` on stderr and exits 3, the CLI's dataset-error code,
+without writing the output directory.
 
 Usage:
     python scripts/convert_npz_dataset.py cora.npz data/cora
@@ -16,7 +19,10 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +34,7 @@ def load_csr(archive, prefix: str) -> sp.csr_matrix:
     keys = [f"{prefix}_{part}" for part in ("data", "indices", "indptr", "shape")]
     missing = [k for k in keys if k not in archive]
     if missing:
-        raise KeyError(f"archive lacks CSR arrays {missing}")
+        raise ValueError(f"archive lacks CSR arrays {missing}")
     data, indices, indptr, shape = (archive[k] for k in keys)
     return sp.csr_matrix((data, indices, indptr), shape=tuple(shape))
 
@@ -38,26 +44,23 @@ def main(argv=None) -> int:
     parser.add_argument("archive", help=".npz file with adj_*/attr_*/labels arrays")
     parser.add_argument("out", help="dataset directory to create")
     args = parser.parse_args(argv)
-
-    with np.load(args.archive, allow_pickle=False) as archive:
-        adj = load_csr(archive, "adj")
-        attr = load_csr(archive, "attr")
-        if "labels" not in archive:
-            raise KeyError("archive lacks a labels array")
-        labels = np.asarray(archive["labels"], dtype=np.int64)
-
-    n = adj.shape[0]
-    if adj.shape[1] != n or attr.shape[0] != n or labels.shape != (n,):
-        raise ValueError(
-            f"inconsistent shapes: adj {adj.shape}, attr {attr.shape}, labels {labels.shape}"
-        )
-    # every stored nonzero arc is an edge; from_edge_list merges orientations
-    g = from_edge_list(np.column_stack(adj.nonzero()), n)
-    save_dataset(args.out, g, attr, labels)
-    print(
-        f"wrote {args.out}: n={g.n} m={g.m} "
-        f"features={attr.shape[1]} classes={int(labels.max()) + 1}"
-    )
+    try:
+        with np.load(args.archive, allow_pickle=False) as archive:
+            adj = load_csr(archive, "adj")
+            attr = load_csr(archive, "attr")
+            if "labels" not in archive:
+                raise ValueError("archive lacks a labels array")
+            labels = archive["labels"]
+        if adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+        # every stored nonzero arc is an edge; from_edge_list merges orientations
+        g = from_edge_list(np.column_stack(adj.nonzero()), adj.shape[0])
+        save_dataset(args.out, g, attr, labels)
+    except (OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:  # a malformed archive
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    meta = json.loads((Path(args.out) / "meta.json").read_text())
+    print(f"wrote {args.out}: n={meta['n']} m={g.m} features={meta['num_features']} classes={meta['num_classes']}")
     return 0
 
 

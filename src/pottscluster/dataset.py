@@ -7,7 +7,9 @@
     labels.tsv     node<TAB>label, one line per node (file optional)
 
 An assignment file, as ``pottscluster train`` writes and ``eval`` reads,
-has the labels.tsv layout with a cluster id in place of the label.
+has the labels.tsv layout with a cluster id in place of the label; one
+reader, ``_read_node_ids``, reads both. The loader's checks are the one
+statement of the format: ``save_dataset`` runs them before it writes.
 
 The format is deliberately plain so converters from public benchmark
 archives can be written in any language.
@@ -95,7 +97,7 @@ def _iter_rows(path: Path, raw: bytes, expected_fields: int):
 _INT64_MAX = np.iinfo(np.int64).max
 _NUMPY_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
-_NODE_LABEL = np.dtype([("node", np.int64), ("label", np.int64)])  # labels.tsv and assignment files
+_NODE_ID = np.dtype([("node", np.int64), ("id", np.int64)])  # labels.tsv and assignment files
 _FEATURE = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
 
 
@@ -140,9 +142,26 @@ def _in_range(ids: np.ndarray, stop: int) -> bool:
     return ids.size == 0 or (ids.min() >= 0 and ids.max() < stop)
 
 
-def _one_row_per_node(nodes: np.ndarray, n: int) -> bool:
-    """Whether ``nodes`` names each of 0..n-1 exactly once."""
-    return nodes.size == n and _in_range(nodes, n) and bool(np.bincount(nodes, minlength=n).all())
+def _check_meta(raw) -> tuple[int, int, int]:
+    """meta.json's (n, num_features, num_classes), as read or about to be written, each checked in that order."""
+    if not isinstance(raw, dict):
+        raise DatasetFormatError("meta.json: top level must be an object")
+    out = []
+    for key, low in (("n", 1), ("num_features", 1), ("num_classes", 0)):
+        if key not in raw:
+            raise DatasetFormatError(f"meta.json: missing key {key!r}")
+        val = raw[key]
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise DatasetFormatError(f"meta.json: {key} must be an integer, got {val!r}")
+        if val < low:
+            raise DatasetFormatError(f"meta.json: {key} must be {'positive' if low else 'non-negative'}, got {val}")
+        if val > _INT64_MAX:  # past int64, numpy cannot size or index arrays by it
+            raise DatasetFormatError(f"meta.json: {key} must be at most 2**63 - 1, got {val}")
+        out.append(val)
+    n, num_features, num_classes = out
+    if (n + 1) * np.dtype(np.int64).itemsize > sys.maxsize:  # numpy refuses to size the graph's row pointer
+        raise DatasetFormatError(f"meta.json: n={n} is too large: n + 1 int64 entries exceed the address space")
+    return n, num_features, num_classes
 
 
 def _load_meta(path: Path) -> tuple[int, int, int]:
@@ -152,29 +171,7 @@ def _load_meta(path: Path) -> tuple[int, int, int]:
         raise DatasetFormatError(f"meta.json: invalid JSON ({exc})") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DatasetFormatError("meta.json: top level must be an object")
-    out = []
-    for key in ("n", "num_features", "num_classes"):
-        if key not in raw:
-            raise DatasetFormatError(f"meta.json: missing key {key!r}")
-        val = raw[key]
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise DatasetFormatError(f"meta.json: {key} must be an integer, got {val!r}")
-        out.append(val)
-    n, num_features, num_classes = out
-    if n < 1:
-        raise DatasetFormatError(f"meta.json: n must be positive, got {n}")
-    if num_features < 1:
-        raise DatasetFormatError(f"meta.json: num_features must be positive, got {num_features}")
-    if num_classes < 0:
-        raise DatasetFormatError(f"meta.json: num_classes must be non-negative, got {num_classes}")
-    for key, val in zip(("n", "num_features", "num_classes"), out):
-        if val > _INT64_MAX:  # past int64, numpy cannot size or index arrays by it
-            raise DatasetFormatError(f"meta.json: {key} must be at most 2**63 - 1, got {val}")
-    if (n + 1) * np.dtype(np.int64).itemsize > sys.maxsize:  # numpy refuses to size the graph's row pointer
-        raise DatasetFormatError(f"meta.json: n={n} is too large: n + 1 int64 entries exceed the address space")
-    return n, num_features, num_classes
+    return _check_meta(raw)
 
 
 def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndarray | None]:
@@ -259,29 +256,41 @@ def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
     return sp.csr_matrix((values, (nodes, feats)), shape=(n, num_features))
 
 
-def _read_labels(path: Path, n: int, num_classes: int) -> np.ndarray:
-    """labels.tsv as an int64 label per node, every node labelled once."""
+def _read_node_ids(path: Path, n: int, what: str) -> np.ndarray:
+    """The node<TAB>id file ``path`` as one non-negative ``what`` per node 0..n-1, every node named once.
+
+    numpy's reader gives an int64 array; ids past int64, which it declines,
+    reach the row loop and come back as Python ints in an object array.
+    """
     raw = _read_bytes(path)
-    table = _read_table(path, raw, _NODE_LABEL)
-    if table is not None and _in_range(table["label"], num_classes) and _one_row_per_node(table["node"], n):
-        labels = np.empty(n, dtype=np.int64)
-        labels[table["node"]] = table["label"]
-        return labels
-    labels = np.full(n, -1, dtype=np.int64)
+    table = _read_table(path, raw, _NODE_ID)
+    if table is not None and table.size == n and _in_range(table["node"], n) and (table["id"] >= 0).all():
+        if np.bincount(table["node"], minlength=n).all():  # each node named once
+            ids = np.empty(n, dtype=np.int64)
+            ids[table["node"]] = table["id"]
+            return ids
+    ids = np.full(n, None, dtype=object)  # Python ints, so ids past int64 fit
     for lineno, fields in _iter_rows(path, raw, 2):
-        node = _parse_int("labels.tsv", lineno, fields[0], "node id")
-        label = _parse_int("labels.tsv", lineno, fields[1], "label")
+        node = _parse_int(path.name, lineno, fields[0], "node id")
+        value = _parse_int(path.name, lineno, fields[1], what)
         if not 0 <= node < n:
-            _fail("labels.tsv", lineno, f"node id {node} out of range for n={n}")
-        if not 0 <= label < num_classes:
-            _fail("labels.tsv", lineno, f"label {label} out of range for num_classes={num_classes}")
-        if labels[node] != -1:
-            _fail("labels.tsv", lineno, f"duplicate label for node {node}")
-        labels[node] = label
-    missing = np.flatnonzero(labels == -1)
-    if missing.size:
-        raise DatasetFormatError(f"labels.tsv: no label for node {int(missing[0])}")
-    return labels
+            _fail(path.name, lineno, f"node id {node} out of range for n={n}")
+        if value < 0:
+            _fail(path.name, lineno, f"negative {what} {value}")
+        if ids[node] is not None:
+            _fail(path.name, lineno, f"duplicate entry for node {node}")
+        ids[node] = value
+    if None in ids:
+        raise DatasetFormatError(f"{path.name}: no {what} for node {list(ids).index(None)}")
+    return ids
+
+
+def _read_labels(path: Path, n: int, num_classes: int) -> np.ndarray:
+    """labels.tsv as an int64 label below num_classes per node; n is at least 1."""
+    labels = _read_node_ids(path, n, "label")
+    if labels.max() >= num_classes:
+        raise DatasetFormatError(f"labels.tsv: label {labels.max()} out of range for num_classes={num_classes}")
+    return labels.astype(np.int64, copy=False)
 
 
 def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
@@ -292,26 +301,7 @@ def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
     numpy declines, load too: the row loop reads them as Python ints. Ids
     already 0..K-1 map to themselves.
     """
-    path = Path(path)
-    raw = _read_bytes(path)
-    table = _read_table(path, raw, _NODE_LABEL)
-    if table is not None and (table["label"] >= 0).all() and _one_row_per_node(table["node"], n):
-        clusters = np.empty(n, dtype=np.int64)
-        clusters[table["node"]] = table["label"]
-    else:
-        clusters = np.full(n, None, dtype=object)  # Python ints, so ids past int64 fit
-        for lineno, fields in _iter_rows(path, raw, 2):
-            node = _parse_int(path.name, lineno, fields[0], "node id")
-            cluster = _parse_int(path.name, lineno, fields[1], "cluster id")
-            if not 0 <= node < n:
-                _fail(path.name, lineno, f"node id {node} out of range for n={n}")
-            if cluster < 0:
-                _fail(path.name, lineno, f"negative cluster id {cluster}")
-            if clusters[node] is not None:
-                _fail(path.name, lineno, f"duplicate entry for node {node}")
-            clusters[node] = cluster
-        if None in clusters:
-            raise DatasetFormatError(f"{path.name}: no cluster for node {list(clusters).index(None)}")
+    clusters = _read_node_ids(Path(path), n, "cluster id")
     return np.unique(clusters, return_inverse=True)[1].astype(np.int64, copy=False)
 
 
@@ -352,18 +342,22 @@ def save_dataset(
     matrix; both forms of the same matrix write the same files (see
     ``feature_matrix``). ``labels`` are checked by check_ids, so float and
     bool labels are rejected, not cast. meta.json's ``num_classes`` is the
-    largest label plus one, or 0 without labels.
+    largest label plus one, or 0 without labels. A dataset ``load_dataset``
+    would refuse raises ValueError before anything is written: meta.json's
+    counts go through the loader's own check, and feature values must be finite.
     """
     x = feature_matrix(x, g.n)
+    if not np.isfinite(x.data).all():
+        raise ValueError(f"feature values must be finite, got {x.data[~np.isfinite(x.data)][0]}")
     num_classes = 0
     if labels is not None:
         labels = check_ids(labels, "labels", g.n)
         num_classes = int(labels.max()) + 1 if labels.size else 0
+    meta = {"n": g.n, "num_features": int(x.shape[1]), "num_classes": num_classes}
+    _check_meta(meta)
 
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-
-    meta = {"n": g.n, "num_features": int(x.shape[1]), "num_classes": num_classes}
     write_atomic(root / "meta.json", json.dumps(meta, indent=2) + "\n")
 
     src = g.arc_sources()

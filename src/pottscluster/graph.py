@@ -52,16 +52,23 @@ def check_ids(ids, what: str, n: int | None = None) -> np.ndarray:
     """``ids`` as an array, checked to be integers, shaped (n,) if n is given, and non-negative.
 
     Float, string and bool ids are rejected, and nothing is cast, so uint64
-    ids past the int64 range keep their value.
+    ids past the int64 range keep their value. A list of Python ints that no
+    integer dtype holds, such as ``[0, 2**63]``, is kept as an object array
+    of those ints, as ``load_assignment``'s row loop reads them.
     """
-    ids = np.asarray(ids)
-    if ids.size and not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError(f"{what} must be integers, got {ids.dtype} values")
-    if n is not None and ids.shape != (n,):
-        raise ValueError(f"{what} shape {ids.shape} does not match n={n}")
-    if ids.size and ids.min() < 0:
-        raise ValueError(f"{what} out of bounds: {ids.min()} is negative")
-    return ids
+    arr = np.asarray(ids)
+    integral = np.issubdtype(arr.dtype, np.integer)
+    if arr.size and not integral and not isinstance(ids, np.ndarray):  # a list holding ints past int64
+        exact = np.array(ids, dtype=object)
+        integral = all(type(v) is int for v in exact.flat)
+        arr = exact if integral else arr
+    if arr.size and not integral:
+        raise ValueError(f"{what} must be integers, got {arr.dtype} values")
+    if n is not None and arr.shape != (n,):
+        raise ValueError(f"{what} shape {arr.shape} does not match n={n}")
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"{what} out of bounds: {arr.min()} is negative")
+    return arr
 
 
 def from_edge_list(edges, n: int) -> Graph:

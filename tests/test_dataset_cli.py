@@ -129,7 +129,7 @@ class TestLoadDataset:
     @pytest.mark.parametrize(
         "content, msg",
         [
-            ("0\t0\n0\t1\n1\t0\n", "duplicate label for node 0"),
+            ("0\t0\n0\t1\n1\t0\n", "duplicate entry for node 0"),
             ("0\t0\n1\t5\n", "label 5 out of range"),
             ("0\t0\n", "no label for node 1"),
         ],
@@ -240,7 +240,7 @@ class TestArrayReader:
         (root / "labels.tsv").write_bytes(content.encode())
         with pytest.raises(DatasetFormatError, match="^labels.tsv: no label for node 0$"):
             load_dataset(root)
-        with pytest.raises(DatasetFormatError, match="^a.tsv: no cluster for node 0$"):
+        with pytest.raises(DatasetFormatError, match="^a.tsv: no cluster id for node 0$"):
             load_assignment(assign, 2)
         (root / "labels.tsv").unlink()
         monkeypatch.setattr(dataset, "_read_table", lambda *args: None)
@@ -382,6 +382,24 @@ class TestSaveDataset:
             save_dataset(tmp_path / "d", g, np.eye(2), np.array([0]))
         with pytest.raises(ValueError):
             save_dataset(tmp_path / "d", g, np.eye(2), np.array([-1, 0]))
+
+    @pytest.mark.parametrize(
+        "n, x, labels, msg",
+        [
+            (0, np.zeros((0, 1)), None, "^meta.json: n must be positive, got 0$"),
+            (2, np.zeros((2, 0)), None, "^meta.json: num_features must be positive, got 0$"),
+            (2, np.eye(2), np.array([2**63, 2**63 + 3], dtype=np.uint64),
+             r"^meta.json: num_classes must be at most 2\*\*63 - 1, got 9223372036854775812$"),
+            (2, np.array([[1.0], [np.inf]]), None, "^feature values must be finite, got inf$"),
+            (2, np.array([[np.nan], [1.0]]), None, "^feature values must be finite, got nan$"),
+        ],
+        ids=["no-nodes", "no-features", "num-classes-past-int64", "inf", "nan"],
+    )
+    def test_what_load_dataset_refuses_is_never_written(self, tmp_path, n, x, labels, msg):
+        g = from_edge_list([(0, 1)] if n else [], n)
+        with pytest.raises(ValueError, match=msg):
+            save_dataset(tmp_path / "d", g, x, labels)
+        assert not (tmp_path / "d").exists()
 
 
 class TestFeatureBuilders:
@@ -864,26 +882,49 @@ class TestConsoleScript:
 
 
 class TestConvertScript:
-    def convert(self, tmp_path, adj, attr, labels):
-        archive = tmp_path / "toy.npz"
-        np.savez(
-            archive,
+    def run_script(self, tmp_path, adj, attr, labels, replaced=()):
+        """Run the converter into tmp_path/toy on these arrays, as ``replaced`` overrides them; None leaves one out."""
+        arrays = dict(
             adj_data=adj.data, adj_indices=adj.indices,
             adj_indptr=adj.indptr, adj_shape=np.array(adj.shape),
             attr_data=attr.data, attr_indices=attr.indices,
             attr_indptr=attr.indptr, attr_shape=np.array(attr.shape),
-            labels=np.array(labels),
+            labels=labels if labels is None else np.array(labels),
         )
+        archive = tmp_path / "toy.npz"
+        np.savez(archive, **{k: v for k, v in {**arrays, **dict(replaced)}.items() if v is not None})
         script = ROOT / "scripts" / "convert_npz_dataset.py"
-        out = tmp_path / "toy"
-        proc = subprocess.run(
-            [sys.executable, str(script), str(archive), str(out)],
+        return subprocess.run(
+            [sys.executable, str(script), str(archive), str(tmp_path / "toy")],
             capture_output=True,
             text=True,
             env=src_env(),
         )
+
+    def convert(self, tmp_path, adj, attr, labels):
+        proc = self.run_script(tmp_path, adj, attr, labels)
         assert proc.returncode == 0, proc.stderr
-        return load_dataset(out)
+        return load_dataset(tmp_path / "toy")
+
+    @pytest.mark.parametrize(
+        "replaced, msg",
+        [
+            ({"labels": np.array([0, 0.9, 1.2])}, "labels must be integers, got float64 values"),
+            ({"labels": np.array([0, 2**63, 2**63 + 1], dtype=np.uint64)},
+             r"meta.json: num_classes must be at most 2\*\*63 - 1, got 9223372036854775810"),
+            ({"labels": None}, "archive lacks a labels array"),
+            ({"adj_shape": np.array([3, 4])}, r"adjacency must be square, got shape \(3, 4\)"),
+            ({"adj_shape": np.array(3)}, "iteration over a 0-d array"),
+        ],
+        ids=["float-labels", "uint64-labels-past-int64", "no-labels", "non-square", "0-d-shape"],
+    )
+    def test_bad_archive_exits_3_and_writes_nothing(self, tmp_path, replaced, msg):
+        # labels are passed on as stored: 0.9 is not cast to 0, nor 2**63 wrapped to -2**63
+        adj = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 2])), shape=(3, 3))
+        proc = self.run_script(tmp_path, adj, sp.csr_matrix(np.eye(3)), [0, 1, 1], replaced)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert re.fullmatch(f"error: {msg}\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "toy").exists()
 
     def test_npz_archive_roundtrip(self, tmp_path):
         # directed triangle plus an isolated node; converter must symmetrize

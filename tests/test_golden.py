@@ -1,11 +1,12 @@
 # tests/test_golden.py
-"""``pottscluster train``'s output files against copies kept under tests/golden/.
+"""``pottscluster train``'s output files, and the dataset it trains on, against copies kept under tests/golden/.
 
 A change that should not move any output (a refactor, a speed-up that keeps
-the float operations) must pass unedited. ``assignment.tsv`` must match byte
-for byte; every number in ``trace.csv`` and ``metrics.json`` must lie within
-1e-12 relative, because the bits hold only per BLAS build and thread count.
-A change that moves outputs on purpose rewrites the copies, and says so, with
+the float operations) must pass unedited. The four files ``save_dataset``
+writes (tests/golden/data/) and ``assignment.tsv`` must match byte for byte;
+every number in ``trace.csv`` and ``metrics.json`` must lie within 1e-12
+relative, because the bits hold only per BLAS build and thread count. A
+change that moves outputs on purpose rewrites the copies, and says so, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,14 +25,21 @@ from pottscluster.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-12
+DATA_FILES = ("meta.json", "edges.tsv", "features.tsv", "labels.tsv")
+
+
+def saved_dataset(root: Path) -> Path:
+    """``root``/data, written once by ``save_dataset`` from ring(4, 3) with A + I features and labels."""
+    data = root / "data"
+    if not data.exists():
+        g, labels = ring_of_cliques(4, 3)
+        save_dataset(data, g, adjacency_features(g), labels)
+    return data
 
 
 def train_outputs(root: Path, loss: str) -> Path:
-    """Run ``train`` in-process on ring(4, 3) with A + I features, 2 seeds, 30 epochs, k 4; return --out."""
-    g, labels = ring_of_cliques(4, 3)
-    data, config, out = root / "data", root / f"{loss}.json", root / loss
-    if not data.exists():
-        save_dataset(data, g, adjacency_features(g), labels)
+    """Run ``train`` in-process on ``saved_dataset``, 2 seeds, 30 epochs, k 4; return --out."""
+    data, config, out = saved_dataset(root), root / f"{loss}.json", root / loss
     config.write_text(json.dumps({"epochs": 30, "k": 4, "loss": loss}))
     argv = ["train", "--data", str(data), "--out", str(out), "--config", str(config), "--seeds", "2"]
     assert main(argv) == 0
@@ -48,6 +56,12 @@ def leaves(obj, path=()):
             yield from leaves(value, path + (i,))
     else:
         yield path, obj
+
+
+def test_saved_dataset_matches_golden(tmp_path):
+    data = saved_dataset(tmp_path)
+    for name in DATA_FILES:
+        assert (data / name).read_bytes() == (GOLDEN / "data" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("loss", LOSS_KINDS)
@@ -72,6 +86,10 @@ def test_train_outputs_match_golden(tmp_path, loss):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
+        data = saved_dataset(Path(tmp))
+        (GOLDEN / "data").mkdir(exist_ok=True)
+        for name in DATA_FILES:
+            shutil.copyfile(data / name, GOLDEN / "data" / name)
         for kind in LOSS_KINDS:
             out = train_outputs(Path(tmp), kind)
             (GOLDEN / kind).mkdir(parents=True, exist_ok=True)

@@ -51,6 +51,12 @@ class TestFromEdgeList:
         with pytest.raises(ValueError, match=r"^edge \(0,9223372036854775808\) out of bounds for n=3$"):
             from_edge_list(np.array([[0, 2**63]], dtype=np.uint64), 3)
 
+    @pytest.mark.parametrize("big", [2**63, 2**64], ids=["2**63", "2**64"])
+    def test_list_ids_past_int64_keep_their_value(self, big):
+        # np.asarray alone makes [(0, 2**63)] float64 and [(0, 2**64)] object
+        with pytest.raises(ValueError, match=rf"^edge \(0,{big}\) out of bounds for n=3$"):
+            from_edge_list([(0, big)], 3)
+
     def test_empty_graph(self):
         g = from_edge_list([], 3)
         assert g.m == 0

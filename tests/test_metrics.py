@@ -301,6 +301,20 @@ def test_ids_past_int64_score_by_their_value(two_k4s):
     assert evaluate_partition(two_k4s, big, big) == evaluate_partition(two_k4s, truth, truth)
 
 
+@pytest.mark.parametrize("big", [2**63, 2**64], ids=["2**63", "2**64"])
+def test_list_ids_past_int64_score_by_their_value(two_k4s, big):
+    # a list of Python ints is scored by value, as README promises for "any
+    # non-negative integers, however large"; np.asarray alone makes it float64 or object
+    truth = [0] * 4 + [1] * 4
+    listed = [big * t for t in truth]
+    pred = [0, 0, 0, 1, 1, 1, 1, 2]
+    assert nmi(pred, listed) == nmi(pred, truth) and nmi(listed, pred) == nmi(truth, pred)
+    assert pairwise_f1(listed, pred) == pairwise_f1(truth, pred)
+    assert evaluate_partition(two_k4s, listed, listed) == evaluate_partition(two_k4s, truth, truth)
+    with pytest.raises(ValueError, match=r"^cluster labels out of bounds: -1 is negative$"):
+        nmi([-1] + listed[1:], pred)
+
+
 def test_integer_labels_of_any_width_accepted(two_k4s):
     labels = [0] * 4 + [1] * 4
     for dtype in (np.int8, np.uint16, np.int32, np.int64):

@@ -16,6 +16,7 @@ from oracles import both_readers, fd_gradient, fd_scalar, max_rel_err, objective
 from pottscluster import (
     FeatureDropout,
     evaluate_objective,
+    feature_matrix,
     from_edge_list,
     load_assignment,
     load_dataset,
@@ -97,6 +98,52 @@ def test_save_load_round_trip(data, graph, with_labels):
         assert np.array_equal(labels2, labels)
     else:
         assert labels2 is None
+
+
+@st.composite
+def datasets(draw):
+    """(graph, features, labels) for save_dataset, valid or not.
+
+    Graphs may have no node; features are dense or CSR, may have no column,
+    and may hold one inf or nan; labels are absent, int64, or uint64 near 2**63.
+    """
+    n, edges = draw(raw_graphs(min_n=0, max_n=6))
+    width = draw(st.sampled_from([1, 2, 3, 0]))
+    x = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width))).reshape(n, width)
+    special = draw(st.sampled_from([None, None, None, None, np.inf, -np.inf, np.nan]))
+    if special is not None and x.size:
+        x.flat[draw(st.integers(0, x.size - 1))] = special
+    dtype = draw(st.sampled_from([None, np.int64, np.uint64]))
+    labels = None
+    if dtype is not None:
+        low = 0 if dtype is np.int64 else 2**63 - 3
+        labels = np.array(draw(st.lists(st.integers(low, low + 4), min_size=n, max_size=n)), dtype=dtype)
+    return from_edge_list(edges, n), sp.csr_matrix(x) if draw(st.booleans()) else x, labels
+
+
+@settings(max_examples=100)
+@given(dataset=datasets())
+@example(dataset=(from_edge_list([], 0), np.zeros((0, 1)), None))
+@example(dataset=(from_edge_list([(0, 1)], 2), np.array([[1.0], [np.nan]]), np.array([0, 1])))
+def test_save_dataset_writes_only_what_load_dataset_reads(dataset):
+    g, x, labels = dataset
+    dense = x.toarray() if sp.issparse(x) else x
+    refused = (g.n == 0 or dense.shape[1] == 0 or not np.isfinite(dense).all()
+               or (labels is not None and int(labels.max()) >= 2**63 - 1))  # num_classes past int64
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "d"
+        if refused:
+            with pytest.raises(ValueError):
+                save_dataset(root, g, x, labels)
+            assert not root.exists()
+            return
+        save_dataset(root, g, x, labels)
+        g2, x2, labels2 = load_dataset(root)
+    assert np.array_equal(g2.row_ptr, g.row_ptr) and np.array_equal(g2.col_idx, g.col_idx)
+    want = feature_matrix(x, g.n)
+    assert x2.shape == want.shape and x2.indptr.tolist() == want.indptr.tolist()
+    assert x2.indices.tolist() == want.indices.tolist() and x2.data.tobytes() == want.data.tobytes()
+    assert (labels2 is None) if labels is None else labels2.tolist() == labels.tolist()
 
 
 # Text that numpy's C parser and the row loop might read differently: whitespace
