@@ -9,8 +9,11 @@ PARENT and CHANGE are two checkouts of the repository. Pair i runs
 with S the first seed plus i; even pairs run the parent first, odd pairs the
 change. The last line a run prints is its JSON result. For each end-to-end
 metric in the parent's BENCHMARK.json the script prints every pair, each
-side's median and quartiles, the pairs the change won (a tie counts for
-neither side), and a verdict on the change's median against the parent's:
+side's median and quartiles, the median over pairs of the change's value
+over the parent's (the two runs of a pair share the host's state, so this
+ratio drifts less than the two medians), the pairs the change won (a tie
+counts for neither side), and a verdict on the change's median against the
+parent's:
 
     worse       worse by more than the metric's bound, relative to the parent's median
     within      not worse by more than the bound
@@ -50,6 +53,11 @@ def worsening(parent: float, change: float, better: str) -> float:
     if parent == 0:
         return 0.0 if delta == 0 else math.copysign(math.inf, delta)
     return delta / abs(parent)
+
+
+def pair_ratio(parent: list[float], change: list[float]) -> float:
+    """Median over pairs of change[i] / parent[i]; a pair whose parent reads 0 gives 1 if both do, else inf."""
+    return statistics.median(c / p if p else (1.0 if c == 0 else math.inf) for p, c in zip(parent, change))
 
 
 def tally(parent: list[float], change: list[float], better: str) -> tuple[int, int, int]:
@@ -125,7 +133,8 @@ def main(argv: list[str] | None = None) -> int:
         won, lost, tied = tally(parent, change, better)
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
         print(f"{name} ({better} is better, bound {bound:g}): parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}], "
-              f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}] ({worsening(pmed, cmed, better):+.1%} worse); "
+              f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}] ({worsening(pmed, cmed, better):+.1%} worse; "
+              f"median pair ratio {pair_ratio(parent, change):.4g}); "
               f"change won {won}, lost {lost}, tied {tied}; {verdict(parent, change, better, bound)}")
     if args.claim is not None:
         m = next(m for m in spec if m["name"] == args.claim)

@@ -17,6 +17,8 @@ __all__ = [
     "sbm",
 ]
 
+_MATVECS = {"csr": _sparsetools.csr_matvecs, "csc": _sparsetools.csc_matvecs}  # matmul_into's kernel per format
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -94,7 +96,7 @@ def from_edge_list(edges, n: int) -> Graph:
     degrees = np.diff(adj.indptr)
     for shared in (adj.indptr, adj.indices, adj.data, degrees):
         shared.flags.writeable = False  # operators such as normalized_adjacency(g) share them
-    return Graph(n, adj.indptr, adj.indices, adj.nnz // 2, degrees, adj)
+    return Graph(adj.shape[0], adj.indptr, adj.indices, adj.nnz // 2, degrees, adj)  # a Python int for any integer n
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
@@ -118,12 +120,11 @@ def matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if x.ndim != 2 or x.shape[0] != n or out.shape != (m, x.shape[1]) or np.may_share_memory(x, out):
         raise ValueError(f"cannot write {a.shape} @ {x.shape} into {out.shape}: need x ({n}, k), out ({m}, k), apart from x")
-    compressed = sp.issparse(a) and a.format in ("csr", "csc") and out.flags.c_contiguous
-    if not (compressed and a.dtype == x.dtype == out.dtype == np.float64):
+    kernel = _MATVECS.get(a.format) if sp.issparse(a) else None
+    if kernel is None or not (out.flags.c_contiguous and a.dtype == x.dtype == out.dtype == np.float64):
         out[...] = a @ x
         return out
     out.fill(0.0)
-    kernel = getattr(_sparsetools, f"{a.format}_matvecs")
     kernel(m, n, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel())
     return out
 

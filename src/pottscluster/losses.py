@@ -61,14 +61,14 @@ def potts_loss(g: Graph, c: np.ndarray, gamma: float, out: np.ndarray | None = N
         raise ValueError("Potts objective is undefined on an edgeless graph (m=0)")
     c = np.asarray(c, dtype=np.float64)
     ac = spmm(g.adj, c, out=out)
-    trace = float(np.sum(c * ac))  # Tr(C^T A C)
+    trace = float(np.add.reduce(c * ac, axis=None))  # Tr(C^T A C)
     deg = g.float_degrees
     vol = deg @ c  # d^T C, one entry per cluster
     vol_sq = float(vol @ vol)
     two_m = 2.0 * g.m
     value = -(trace - gamma / two_m * vol_sq) / two_m
     # d_c = -(A C - (gamma/2m) d vol^T) / m in place on A C; x / -m is -(x / m) bit for bit
-    ac -= (gamma / two_m) * np.outer(deg, vol)
+    ac -= (gamma / two_m) * np.multiply(deg[:, None], vol)
     ac /= -g.m
     return value, ac, vol_sq / (two_m * two_m)
 
@@ -79,15 +79,15 @@ def collapse_reg(c: np.ndarray):
     It is zero for perfectly balanced columns and sqrt(k)-1 when all mass
     falls into one cluster. A k/sqrt(n) prefactor would only rescale it by
     sqrt(n*k), as w_collapse does. Returns (value, dL/dC); every row of the
-    gradient is the same, so it is a read-only broadcast view.
+    gradient is the same, so it is returned as that one row, shape (1, k).
     """
     c = np.asarray(c, dtype=np.float64)
     n, k = c.shape
     factor = sqrt(k) / n
-    s = c.sum(axis=0)
-    nrm = float(np.linalg.norm(s))
+    s = np.add.reduce(c, axis=0)
+    nrm = sqrt(float(s @ s))
     row = factor * s / nrm if nrm != 0.0 else np.zeros(k)
-    return factor * nrm - 1.0, np.broadcast_to(row, c.shape)
+    return factor * nrm - 1.0, row[None]
 
 
 def gamma_reg(gamma: float, gamma_max: float):
@@ -106,9 +106,9 @@ def mincut_loss(g: Graph, c: np.ndarray, out: np.ndarray | None = None):
         raise ValueError("min-cut objective needs at least one edge")
     c = np.asarray(c, dtype=np.float64)
     ac = spmm(g.adj, c, out=out)
-    num = float(np.sum(c * ac))
+    num = float(np.add.reduce(c * ac, axis=None))
     deg = g.float_degrees
-    den = float(deg @ (c * c).sum(axis=1))
+    den = float(deg @ np.add.reduce(c * c, axis=1))
     if den == 0.0:
         raise ValueError("degree-weighted denominator Tr(C^T D C) is zero")
     # d_c = (num * d_den - den * d_num) / den^2 with d_den = 2 D C and d_num = 2 A C, into ac
@@ -125,13 +125,13 @@ def ortho_reg(c: np.ndarray):
     c = np.asarray(c, dtype=np.float64)
     k = c.shape[1]
     s = c.T @ c
-    f = float(np.linalg.norm(s))
+    f = sqrt(float(np.vdot(s, s)))
     t = s / f - np.eye(k) / sqrt(k)
-    value = float(np.linalg.norm(t))
+    value = sqrt(float(np.vdot(t, t)))
     if value == 0.0:
         return value, np.zeros_like(c)
     g_mat = t / value
-    d_s = g_mat / f - (float(np.sum(g_mat * s)) / f**3) * s
+    d_s = g_mat / f - (float(np.add.reduce(g_mat * s, axis=None)) / f**3) * s
     return value, 2.0 * c @ d_s
 
 
@@ -174,7 +174,5 @@ def evaluate_objective(
     breakdown = LossBreakdown(
         potts=float(structural), collapse=float(reg), gamma_reg=float(g_term), total=float(total)
     )
-    if kind != "mincut_ortho":
-        d_c_r = d_c_r[:1]  # collapse_reg's rows are all one row: add it by broadcasting
-    d_c += w_collapse * d_c_r
+    d_c += w_collapse * d_c_r  # collapse_reg's one row broadcasts over the n rows
     return breakdown, d_c, float(d_gamma)

@@ -117,10 +117,10 @@ def selu_grad(x, out=None, scratch=None):
 def softmax_rows(logits: np.ndarray, out=None, row=None) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's maximum; fills ``out`` and ``row`` (n, 1) if given."""
     logits = np.asarray(logits, dtype=np.float64)
-    row = np.max(logits, axis=1, keepdims=True, out=row)
+    row = np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
     out = np.subtract(logits, row, out=out)
     np.exp(out, out=out)
-    out /= np.sum(out, axis=1, keepdims=True, out=row)
+    out /= np.add.reduce(out, axis=1, keepdims=True, out=row)
     return out
 
 
@@ -168,7 +168,7 @@ def backward(cache: ForwardCache, d_c: np.ndarray, d_gamma: float) -> ModelParam
     grad, h = cache.grad, cache.h_pre.shape[1]
     # softmax rows: d_logits = C * (dC - rowsum(dC * C))
     d_logits = np.multiply(d_c, cache.c, out=cache.logits)
-    np.subtract(d_c, np.sum(d_logits, axis=1, keepdims=True, out=cache.row), out=d_logits)
+    np.subtract(d_c, np.add.reduce(d_logits, axis=1, keepdims=True, out=cache.row), out=d_logits)
     d_logits *= cache.c
     np.matmul(cache.h.T, d_logits, out=grad.w_out)
     d_h = np.matmul(d_logits, cache.w_out.T, out=cache.h)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -85,6 +86,8 @@ class TrainConfig:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be positive, got {self.hidden}")
+        if ModelParams.size(1, self.hidden, self.k) * np.dtype(np.float64).itemsize > sys.maxsize:
+            raise ValueError(f"hidden={self.hidden} and k={self.k} are too large: one feature's weights exceed the address space")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
         if self.learning_rate <= 0:
@@ -276,13 +279,13 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
     objective_kw["out"] = np.empty_like(c)
     first, _, _ = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
     records = [EpochRecord.of(0, first, params.gamma)]
-    if not np.isfinite(first.total):
+    if not math.isfinite(first.total):
         raise TrainDivergedError(0, first)
 
     for epoch in range(1, config.epochs + 1):
         c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t, cache)
         breakdown, d_c, d_gamma = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
-        if not np.isfinite(breakdown.total):
+        if not math.isfinite(breakdown.total):
             raise TrainDivergedError(epoch, breakdown)
         grads = backward(cache, d_c, d_gamma)
         adam_step(params, grads, state, config.learning_rate, config.gamma_max)

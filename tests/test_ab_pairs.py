@@ -44,6 +44,12 @@ def test_quartiles_and_worsening():
     assert ab.worsening(0.0, 0.0, "lower") == 0.0 and ab.worsening(0.0, 1.0, "lower") == math.inf
 
 
+def test_pair_ratio_is_the_median_of_per_pair_ratios():
+    # the medians are 2 and 2, but the change read 0.8x its pair's parent in two of three pairs
+    assert ab.pair_ratio([1.0, 2.0, 3.0], [0.8, 3.0, 2.4]) == pytest.approx(0.8)
+    assert ab.pair_ratio([0.0, 0.0, 1.0], [0.0, 1.0, 2.0]) == 2.0  # 0/0 counts as 1, x/0 as inf
+
+
 def test_ties_count_for_neither_side():
     parent = [1.0, 1.0, 1.0, 2.0]
     change = [0.5, 1.0, 1.5, 2.0]
@@ -94,7 +100,7 @@ def test_pairs_alternate_and_report(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "calls").read_text().split() == ["parent", "change", "change", "parent", "parent", "change"]
     out = capsys.readouterr().out
     assert "pair 1 seed 6 (change first): wall_s 1 / 1" in out
-    assert "change won 1, lost 1, tied 1; within" in out
+    assert "(+0.0% worse; median pair ratio 1); change won 1, lost 1, tied 1; within" in out
 
 
 def test_incorrect_run_exits_1(tmp_path, monkeypatch):

@@ -374,6 +374,12 @@ class TestSaveDataset:
         _, _, labels = load_dataset(tmp_path / "d")
         assert labels is None
 
+    def test_graph_of_numpy_integer_n_saves(self, tmp_path):
+        graphs = {"edge": from_edge_list([(0, 1)], np.int64(2)), "ring": ring_of_cliques(np.int64(4), 3)[0]}
+        for name, g in graphs.items():
+            save_dataset(tmp_path / name, g, np.eye(g.n))
+            assert load_dataset(tmp_path / name)[0].n == g.n
+
     def test_validation(self, tmp_path):
         g = from_edge_list([(0, 1)], 2)
         with pytest.raises(ValueError):
@@ -466,6 +472,9 @@ class TestCliGen:
                        "--out", str(tmp_path / "x")) == 2
         assert run_cli("gen", "sbm", "--sizes", "4;4", "--p-in", "1.0", "--p-out", "0.0",
                        "--out", str(tmp_path / "x")) == 2
+        assert run_cli("gen", "sbm", "--sizes", ",", "--p-in", "1.0", "--p-out", "0.0",
+                       "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit) as err:
@@ -607,6 +616,39 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides", [{"hidden": 2**62}, {"k": 2**62}], ids=["hidden", "k"])
+    def test_unsizable_hidden_or_k_exits_2_before_the_dataset_is_read(self, tmp_path, ring_dataset, capsys,
+                                                                      monkeypatch, overrides):
+        def never(*args, **kwargs):
+            raise AssertionError("the dataset was read despite an unsizable config")
+
+        monkeypatch.setattr(cli, "load_dataset", never)
+        cfg, out = write_config(tmp_path, **overrides), tmp_path / "o"
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg), "--out", str(out)) == 2
+        hidden, k = overrides.get("hidden", 64), overrides.get("k", 16)
+        err = capsys.readouterr().err
+        assert err == (f"error: hidden={hidden} and k={k} are too large:"
+                       " one feature's weights exceed the address space\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, msg",
+        [
+            (["--seeds", "0"], "--seeds must be positive, got 0"),
+            (["--config", "{tmp}"], "cannot read config file {tmp}"),
+            (["--config", "{tmp}/list.json"], "config file {tmp}/list.json must hold a JSON object"),
+        ],
+        ids=["seeds-0", "config-is-a-directory", "config-holds-a-list"],
+    )
+    def test_bad_argument_exits_2_before_out_is_made(self, tmp_path, ring_dataset, capsys, extra, msg):
+        (tmp_path / "list.json").write_text("[1]\n")
+        out = tmp_path / "o"
+        extra = [a.format(tmp=tmp_path) for a in extra]
+        assert run_cli("train", "--data", str(ring_dataset), "--out", str(out), *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + msg.format(tmp=tmp_path)) and "Traceback" not in err
+        assert not out.exists()
+
     def test_dmon_with_gamma_max_below_one_exits_2(self, tmp_path, ring_dataset, capsys):
         cfg = write_config(tmp_path, loss="dmon", gamma_max=0.5, gamma_init=0.2, epochs=3)
         assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg),
@@ -699,6 +741,15 @@ class TestCliTrain:
         cfg = write_config(tmp_path, epochs=3, k=2, hidden=64)
         assert run_cli("train", "--data", str(root), "--config", str(cfg),
                        "--out", str(tmp_path / "o")) == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_after_the_first_record_exits_4(self, tmp_path, ring_dataset, capsys):
+        # records 0 and 1 are finite; epoch 1's Adam step, of size 1e300, overflows epoch 2's logits
+        cfg = write_config(tmp_path, learning_rate=1e300, epochs=5, k=4)
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective became non-finite at epoch 2: ") and "Traceback" not in err
 
     def test_verbose_logs_to_stderr(self, tmp_path, ring_dataset, monkeypatch, capsys):
         monkeypatch.setenv("POTTSCLUSTER_VERBOSE", "1")

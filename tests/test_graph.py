@@ -45,6 +45,8 @@ class TestFromEdgeList:
             from_edge_list([(0, 3)], 3)
         with pytest.raises(ValueError, match="out of bounds"):
             from_edge_list([(-1, 0)], 3)
+        with pytest.raises(ValueError, match="node count must be nonnegative, got -1"):
+            from_edge_list([], -1)
 
     def test_uint64_edge_message_names_the_real_id(self):
         # the range check runs before the int64 cast, which would print -2**63

@@ -120,7 +120,7 @@ class TestCollapseReg:
     def test_grad_zero_matrix_guard(self):
         value, d_c = collapse_reg(np.zeros((3, 2)))
         assert value == -1.0
-        assert d_c.shape == (3, 2) and not d_c.any()
+        assert d_c.shape == (1, 2) and not d_c.any()
 
 
 class TestGammaReg:
@@ -195,6 +195,10 @@ class TestMinCutOrtho:
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
             mincut_loss(from_edge_list([], 2), np.full((2, 2), 0.5))
+
+    def test_zero_assignment_rejected(self, two_k3s):
+        with pytest.raises(ValueError, match=r"Tr\(C\^T D C\) is zero"):
+            mincut_loss(two_k3s, np.zeros((6, 2)))
 
     def test_mincut_grad_matches_fd(self):
         rng = np.random.default_rng(8)

@@ -151,6 +151,10 @@ class TestNmi:
         with pytest.raises(ValueError):
             nmi(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
 
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(ValueError, match="cannot score empty label vectors"):
+            nmi([], [])
+
 
 class TestPairwiseF1:
     def test_identical_is_perfect(self):

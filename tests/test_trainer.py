@@ -64,6 +64,8 @@ class TestTrainConfig:
             {"learning_rate": float("nan")},
             {"gamma_max": float("inf")},
             {"loss": "dmon", "gamma_max": 0.5, "gamma_init": 0.2},
+            {"hidden": 2**62},  # one feature's weights alone exceed the address space
+            {"k": 2**62},
         ],
     )
     def test_validation(self, kwargs):
