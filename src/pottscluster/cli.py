@@ -29,7 +29,7 @@ from .dataset import (
     save_dataset,
     write_atomic,
 )
-from .graph import Graph, ring_of_cliques, sbm
+from .graph import ring_of_cliques, sbm
 from .metrics import evaluate_partition, hard_assign
 from .model import ModelParams
 from .trainer import EpochRecord, TrainConfig, TrainDivergedError, run_seeds
@@ -58,7 +58,7 @@ def _load_config(path: str | None) -> TrainConfig:
         return TrainConfig()
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
@@ -121,15 +121,22 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_generated(out: str, g: Graph, labels: np.ndarray) -> None:
-    save_dataset(out, g, adjacency_features(g), labels)
+def _generate(out: str, n: int, make, *args) -> int:
+    """Write the graph and labels ``make(*args)`` draws, n nodes, as a dataset with A + I as features.
+
+    A graph too large for memory is a usage error, as its parameters are.
+    """
+    try:
+        g, labels = make(*args)
+        save_dataset(out, g, adjacency_features(g), labels)
+    except MemoryError:
+        raise ValueError(f"out of memory generating n={n} nodes") from None
     _log(f"wrote dataset to {out}: n={g.n}, m={g.m}")
+    return EXIT_OK
 
 
 def _cmd_gen_ring(args: argparse.Namespace) -> int:
-    g, labels = ring_of_cliques(args.cliques, args.size)
-    _write_generated(args.out, g, labels)
-    return EXIT_OK
+    return _generate(args.out, args.cliques * args.size, ring_of_cliques, args.cliques, args.size)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -143,9 +150,8 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_gen_sbm(args: argparse.Namespace) -> int:
-    g, labels = sbm(_parse_sizes(args.sizes), args.p_in, args.p_out, args.seed)
-    _write_generated(args.out, g, labels)
-    return EXIT_OK
+    sizes = _parse_sizes(args.sizes)
+    return _generate(args.out, sum(sizes), sbm, sizes, args.p_in, args.p_out, args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,19 +14,18 @@ statement of the format: ``save_dataset`` runs them before it writes.
 The format is deliberately plain so converters from public benchmark
 archives can be written in any language.
 
-Each .tsv file is read in one pass by numpy's C parser and checked with
-array operations. A file numpy declines (non-ASCII text, a numeral only
-Python's ``int`` or ``float`` reads, such as ``1_0``, or malformed text),
-or whose values fail a check, is read again line by line by
-``_iter_rows``. That row loop is the reference reader: both give the same
-arrays, and it words every error with file and line number.
+Each .tsv file may hold only printable ASCII, tabs and line ends (\\n,
+\\r\\n or \\r); a non-blank line is one record of tab-separated decimal
+numerals as numpy reads them into int64 and float64. One ``np.loadtxt``
+call parses each file, array operations check the values, and every error
+names the file and, where it has one, the line.
 """
 from __future__ import annotations
 
 import io
 import json
-import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -55,14 +54,6 @@ def _fail(name: str, lineno: int, problem: str) -> None:
     raise DatasetFormatError(f"{name}:{lineno}: {problem}")
 
 
-def _parse_int(name: str, lineno: int, token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        _fail(name, lineno, f"{what} is not an integer: {token!r}")
-    raise AssertionError("unreachable")
-
-
 def _read_bytes(path: Path) -> bytes:
     """The file's bytes, read once, so a pipe such as ``<(cat a.tsv)`` loads too."""
     try:
@@ -71,75 +62,70 @@ def _read_bytes(path: Path) -> bytes:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _text(raw: bytes) -> io.TextIOWrapper:
-    """``raw`` as ``open(path, encoding="utf-8")`` reads the file: same newlines, same decode errors."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-
-
-def _iter_rows(path: Path, raw: bytes, expected_fields: int):
-    """Yield (lineno, fields) for each non-blank line of the file ``path`` holding ``raw``, enforcing field count.
-
-    Text that is not UTF-8 raises DatasetFormatError naming the file.
-    """
-    try:
-        for lineno, line in enumerate(_text(raw), start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != expected_fields:
-                _fail(path.name, lineno, f"expected {expected_fields} tab-separated fields, got {len(fields)}")
-            yield lineno, fields
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-
-
 _INT64_MAX = np.iinfo(np.int64).max
-_NUMPY_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n\r"  # the bytes a .tsv file may hold
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
 _NODE_ID = np.dtype([("node", np.int64), ("id", np.int64)])  # labels.tsv and assignment files
 _FEATURE = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
 
 
-def _numpy_reads_like_python(raw: bytes) -> bool:
-    """Whether ``raw`` is text on which numpy's parser agrees with ``int()`` and ``float()``.
+def _line(raw: bytes, record: int) -> tuple[int, list[str]]:
+    """The 1-based number and the fields of the line of ``raw`` holding ``record``; blank lines hold none."""
+    lines = raw.splitlines()  # at \n, \r\n and \r, as Python's text files split them
+    lineno = [i for i, line in enumerate(lines, start=1) if line][record]
+    return lineno, lines[lineno - 1].decode("ascii").split("\t")
 
-    That is ASCII without the separators \\x1c-\\x1f: numpy strips those
-    as whitespace, where ``int()`` rejects them, and reads some non-ASCII
-    characters (U+01FE, circled digits) as digits of the wrong value.
+
+def _read_table(path: Path, raw: bytes, row: np.dtype, what: tuple[str, ...]) -> np.ndarray:
+    """The file ``path`` holding ``raw`` as records of ``row``, one per non-blank line, parsed by numpy's C reader.
+
+    ``what`` names each column in messages. The file may hold only printable
+    ASCII, tabs and line ends; numpy would read some other characters as
+    digits of another value. ``comments=None`` keeps a ``#`` line a record.
     """
-    return raw.isascii() and not any(sep in raw for sep in _NUMPY_ONLY_SPACES)
-
-
-def _read_table(path: Path, raw: bytes, row: np.dtype) -> np.ndarray | None:
-    """The file ``path`` holding ``raw`` as records of ``row`` parsed by numpy's C reader, or None where it declines.
-
-    Blank lines are skipped, so a file with no other gives zero records.
-    On the text it is given, numpy reads a subset of the numerals ``int()``
-    and ``float()`` read, to the same values; it declines ``1_0``, ``1.0``
-    as an id, ids past int64, NUL and a line with a wrong field count.
-    ``comments=None`` keeps a ``#`` line from being skipped.
-    """
-    if not _numpy_reads_like_python(raw):
-        return None
+    other = raw.translate(None, _TEXT)  # the other bytes, in file order
+    if other:
+        at = raw.index(other[:1])  # the byte's line is the last of the lines up to it
+        _fail(path.name, len(raw[: at + 1].splitlines()),
+              f"byte 0x{other[0]:02x} is not printable ASCII, tab or line end")
     with warnings.catch_warnings():
-        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         # numpy from 1.23 until that deprecation expired reads an integer field
-        # such as "1.5" through a float, warning only; as an error it declines
+        # such as "1.5" through a float, warning only, without a row
         warnings.filterwarnings("error", category=DeprecationWarning)
         try:
             # a regular file by its path again: numpy reads a path in chunks but a
             # file object line by line, 1.8x as long on csbm-cora; a pipe is read once
-            source = path if path.is_file() else _text(raw)
+            source = path if path.is_file() else io.TextIOWrapper(io.BytesIO(raw), encoding="ascii")
             return np.loadtxt(source, dtype=row, delimiter="\t", comments=None, encoding="utf-8", ndmin=1)
-        except UserWarning:
-            return np.empty(0, dtype=row)
-        except (ValueError, OSError, DeprecationWarning):
-            return None
+        except DeprecationWarning:
+            raise DatasetFormatError(f"{path.name}: an id or index is not an integer") from None
+        except ValueError as exc:
+            at = re.search(r"at row (\d+)(?:, column (\d+))?", str(exc))
+            if at is None:
+                raise DatasetFormatError(f"{path.name}: {exc}") from None
+            if at[2] is None:  # a wrong field count, at a 1-based record
+                lineno, fields = _line(raw, int(at[1]) - 1)
+                _fail(path.name, lineno, f"expected {len(what)} tab-separated fields, got {len(fields)}")
+            lineno, fields = _line(raw, int(at[1]))  # a field numpy cannot convert: a 0-based record, a 1-based column
+            col = int(at[2]) - 1
+            kind = "a number" if row[col].kind == "f" else "an integer"
+            _fail(path.name, lineno, f"{what[col]} is not {kind}: {fields[col]!r}")
 
 
-def _in_range(ids: np.ndarray, stop: int) -> bool:
-    return ids.size == 0 or (ids.min() >= 0 and ids.max() < stop)
+def _fail_first(path: Path, raw: bytes, bad: np.ndarray, problem) -> None:
+    """Fail at the line of the first record ``bad`` flags, with ``problem(record)``."""
+    if bad.any():
+        record = int(bad.argmax())
+        _fail(path.name, _line(raw, record)[0], problem(record))
+
+
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """Which records hold the keys of an earlier record."""
+    order = np.lexsort(keys[::-1])  # stable: records with equal keys keep their order
+    repeats = np.zeros(keys[0].size, dtype=bool)
+    repeats[order[1:]] = np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in keys])
+    return repeats
 
 
 def _check_meta(raw) -> tuple[int, int, int]:
@@ -203,86 +189,47 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
     return g, x, labels
 
 
-def _read_edges(path: Path, n: int) -> np.ndarray | list[tuple[int, int]]:
+def _read_edges(path: Path, n: int) -> np.ndarray:
     """edges.tsv's (u, v) pairs, each id checked against n."""
     raw = _read_bytes(path)
-    table = _read_table(path, raw, _EDGE)
-    if table is not None and _in_range(table["u"], n) and _in_range(table["v"], n):
-        return np.column_stack((table["u"], table["v"]))
-    edges = []
-    for lineno, fields in _iter_rows(path, raw, 2):
-        u = _parse_int("edges.tsv", lineno, fields[0], "node id")
-        v = _parse_int("edges.tsv", lineno, fields[1], "node id")
-        if not (0 <= u < n and 0 <= v < n):
-            _fail("edges.tsv", lineno, f"edge ({u},{v}) out of range for n={n}")
-        edges.append((u, v))
-    return edges
+    table = _read_table(path, raw, _EDGE, ("node id", "node id"))
+    u, v = table["u"], table["v"]
+    _fail_first(path, raw, (u < 0) | (u >= n) | (v < 0) | (v >= n),
+                lambda i: f"edge ({u[i]},{v[i]}) out of range for n={n}")
+    return np.column_stack((u, v))
 
 
 def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
     """features.tsv as a canonical (n, num_features) CSR matrix, rejecting duplicate and non-finite entries."""
     raw = _read_bytes(path)
-    table = _read_table(path, raw, _FEATURE)
-    if (
-        table is not None
-        and _in_range(table["node"], n)
-        and _in_range(table["feature"], num_features)
-        and np.isfinite(table["value"]).all()
-    ):
-        # the COO -> CSR conversion sorts each row's indices and sums duplicates
-        x = sp.csr_matrix((table["value"], (table["node"], table["feature"])), shape=(n, num_features))
-        if x.nnz == table.size:  # no (node, feature) pair was given twice
-            return x
-    entries: dict[tuple[int, int], float] = {}  # (node, feature) -> value
-    for lineno, fields in _iter_rows(path, raw, 3):
-        node = _parse_int("features.tsv", lineno, fields[0], "node id")
-        feat = _parse_int("features.tsv", lineno, fields[1], "feature index")
-        if not 0 <= node < n:
-            _fail("features.tsv", lineno, f"node id {node} out of range for n={n}")
-        if not 0 <= feat < num_features:
-            _fail("features.tsv", lineno, f"feature index {feat} out of range for num_features={num_features}")
-        if (node, feat) in entries:
-            _fail("features.tsv", lineno, f"duplicate entry for node {node}, feature {feat}")
-        try:
-            value = float(fields[2])
-        except ValueError:
-            _fail("features.tsv", lineno, f"value is not a number: {fields[2]!r}")
-        if not math.isfinite(value):
-            _fail("features.tsv", lineno, f"value is not finite: {fields[2]!r}")
-        entries[node, feat] = value
-    # the COO -> CSR conversion sorts each row's indices; the pairs are unique
-    nodes, feats = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
-    values = np.array(list(entries.values()), dtype=np.float64)
-    return sp.csr_matrix((values, (nodes, feats)), shape=(n, num_features))
+    table = _read_table(path, raw, _FEATURE, ("node id", "feature index", "value"))
+    node, feat, value = table["node"], table["feature"], table["value"]
+    _fail_first(path, raw, (node < 0) | (node >= n), lambda i: f"node id {node[i]} out of range for n={n}")
+    _fail_first(path, raw, (feat < 0) | (feat >= num_features),
+                lambda i: f"feature index {feat[i]} out of range for num_features={num_features}")
+    _fail_first(path, raw, ~np.isfinite(value), lambda i: f"value is not finite: {_line(raw, i)[1][2]!r}")
+    # the COO -> CSR conversion sorts each row's indices and sums duplicates
+    x = sp.csr_matrix((value, (node, feat)), shape=(n, num_features))
+    if x.nnz < table.size:  # some (node, feature) pair was given twice
+        _fail_first(path, raw, _repeats(node, feat), lambda i: f"duplicate entry for node {node[i]}, feature {feat[i]}")
+    return x
 
 
 def _read_node_ids(path: Path, n: int, what: str) -> np.ndarray:
-    """The node<TAB>id file ``path`` as one non-negative ``what`` per node 0..n-1, every node named once.
-
-    numpy's reader gives an int64 array; ids past int64, which it declines,
-    reach the row loop and come back as Python ints in an object array.
-    """
+    """The node<TAB>id file ``path`` as one non-negative int64 ``what`` per node 0..n-1, every node named once."""
     raw = _read_bytes(path)
-    table = _read_table(path, raw, _NODE_ID)
-    if table is not None and table.size == n and _in_range(table["node"], n) and (table["id"] >= 0).all():
-        if np.bincount(table["node"], minlength=n).all():  # each node named once
-            ids = np.empty(n, dtype=np.int64)
-            ids[table["node"]] = table["id"]
-            return ids
-    ids = np.full(n, None, dtype=object)  # Python ints, so ids past int64 fit
-    for lineno, fields in _iter_rows(path, raw, 2):
-        node = _parse_int(path.name, lineno, fields[0], "node id")
-        value = _parse_int(path.name, lineno, fields[1], what)
-        if not 0 <= node < n:
-            _fail(path.name, lineno, f"node id {node} out of range for n={n}")
-        if value < 0:
-            _fail(path.name, lineno, f"negative {what} {value}")
-        if ids[node] is not None:
-            _fail(path.name, lineno, f"duplicate entry for node {node}")
-        ids[node] = value
-    if None in ids:
-        raise DatasetFormatError(f"{path.name}: no {what} for node {list(ids).index(None)}")
-    return ids
+    table = _read_table(path, raw, _NODE_ID, ("node id", what))
+    node, ids = table["node"], table["id"]
+    _fail_first(path, raw, (node < 0) | (node >= n), lambda i: f"node id {node[i]} out of range for n={n}")
+    _fail_first(path, raw, ids < 0, lambda i: f"negative {what} {ids[i]}")
+    named = np.bincount(node, minlength=n)
+    if node.size > np.count_nonzero(named):  # some node named twice
+        _fail_first(path, raw, _repeats(node), lambda i: f"duplicate entry for node {node[i]}")
+    if node.size < n:
+        raise DatasetFormatError(f"{path.name}: no {what} for node {named.argmin()}")
+    out = np.empty(n, dtype=np.int64)
+    out[node] = ids
+    return out
 
 
 def _read_labels(path: Path, n: int, num_classes: int) -> np.ndarray:
@@ -290,16 +237,15 @@ def _read_labels(path: Path, n: int, num_classes: int) -> np.ndarray:
     labels = _read_node_ids(path, n, "label")
     if labels.max() >= num_classes:
         raise DatasetFormatError(f"labels.tsv: label {labels.max()} out of range for num_classes={num_classes}")
-    return labels.astype(np.int64, copy=False)
+    return labels
 
 
 def load_assignment(path: str | os.PathLike, n: int) -> np.ndarray:
     """Read a node<TAB>cluster file covering nodes 0..n-1 into cluster ids 0..K-1.
 
-    The file's K distinct ids map to 0..K-1 in increasing order, as
-    ``evaluate_partition`` maps them. Ids past the int64 range, which
-    numpy declines, load too: the row loop reads them as Python ints. Ids
-    already 0..K-1 map to themselves.
+    The file's K distinct ids, each within int64, map to 0..K-1 in
+    increasing order, as ``evaluate_partition`` maps them. Ids already
+    0..K-1 map to themselves.
     """
     clusters = _read_node_ids(Path(path), n, "cluster id")
     return np.unique(clusters, return_inverse=True)[1].astype(np.int64, copy=False)

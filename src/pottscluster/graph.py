@@ -56,7 +56,7 @@ def check_ids(ids, what: str, n: int | None = None) -> np.ndarray:
     Float, string and bool ids are rejected, and nothing is cast, so uint64
     ids past the int64 range keep their value. A list of Python ints that no
     integer dtype holds, such as ``[0, 2**63]``, is kept as an object array
-    of those ints, as ``load_assignment``'s row loop reads them.
+    of those ints, so each keeps its value.
     """
     arr = np.asarray(ids)
     integral = np.issubdtype(arr.dtype, np.integer)
@@ -172,6 +172,8 @@ def sbm(sizes, p_in: float, p_out: float, seed) -> tuple[Graph, np.ndarray]:
     sizes = [int(s) for s in sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError(f"block sizes must be positive, got {sizes}")
+    if sum(sizes) > np.iinfo(np.int64).max:
+        raise ValueError(f"block sizes {sizes} total {sum(sizes)} nodes, past the int64 range")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
     labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)

@@ -274,24 +274,26 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
     state = AdamState.zeros(params)
     dropout = FeatureDropout(x, config.dropout_keep, [config.seed, 1])
 
-    c, cache = forward(abar, x, params)
-    objective_kw = {key: getattr(config, key) for key in ("w_collapse", "w_gamma", "gamma_max")}
-    objective_kw["out"] = np.empty_like(c)
-    first, _, _ = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
-    records = [EpochRecord.of(0, first, params.gamma)]
-    if not math.isfinite(first.total):
-        raise TrainDivergedError(0, first)
+    # a diverging run overflows to inf and nan; the check on each total reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, cache = forward(abar, x, params)
+        objective_kw = {key: getattr(config, key) for key in ("w_collapse", "w_gamma", "gamma_max")}
+        objective_kw["out"] = np.empty_like(c)
+        first, _, _ = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
+        records = [EpochRecord.of(0, first, params.gamma)]
+        if not math.isfinite(first.total):
+            raise TrainDivergedError(0, first)
 
-    for epoch in range(1, config.epochs + 1):
-        c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t, cache)
-        breakdown, d_c, d_gamma = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
-        if not math.isfinite(breakdown.total):
-            raise TrainDivergedError(epoch, breakdown)
-        grads = backward(cache, d_c, d_gamma)
-        adam_step(params, grads, state, config.learning_rate, config.gamma_max)
-        records.append(EpochRecord.of(epoch, breakdown, params.gamma))
+        for epoch in range(1, config.epochs + 1):
+            c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t, cache)
+            breakdown, d_c, d_gamma = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
+            if not math.isfinite(breakdown.total):
+                raise TrainDivergedError(epoch, breakdown)
+            grads = backward(cache, d_c, d_gamma)
+            adam_step(params, grads, state, config.learning_rate, config.gamma_max)
+            records.append(EpochRecord.of(epoch, breakdown, params.gamma))
 
-    c_final, _ = forward(abar, x, params, cache=cache)  # the cache ends here: C can be the result
+        c_final, _ = forward(abar, x, params, cache=cache)  # the cache ends here: C can be the result
     return RunTrace(records=records, final_params=params, final_assignment=c_final)
 
 

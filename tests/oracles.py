@@ -4,17 +4,17 @@
 Everything here recomputes quantities from dense matrices with explicit
 summation, deliberately avoiding the package's deflated/vectorized forms.
 ``objective_kw`` gives the objective keywords that TrainConfig defaults;
-``both_readers`` runs a loader with numpy's reader and with its reference
-row loop alone.
+``outcome`` is what a loader gives, as comparable bytes or its message, and
+``piped`` serves bytes through a pipe, as ``<(cat file)`` does.
 """
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 
@@ -27,40 +27,44 @@ from pottscluster import (
     ModelParams,
     TrainConfig,
     collapse_reg,
-    dataset,
     gamma_reg,
     ortho_reg,
 )
 
 
-def both_readers(load, *args):
-    """What ``load`` gives with numpy's reader and with the row loop alone: arrays as bytes, or the error.
+def outcome(load, *args):
+    """What ``load`` gives: every array it returns as (dtype, shape, bytes), or its DatasetFormatError's message.
 
-    Each load runs under warning filters that turn no warning into an error,
+    The load runs under warning filters that turn no warning into an error,
     as outside the test suite, and must emit none.
     """
-    outcomes = []
-    for row_loop_only in (False, True):
-        with (
-            mock.patch.object(dataset, "_read_table", return_value=None) if row_loop_only else nullcontext(),
-            warnings.catch_warnings(record=True) as caught,
-        ):
-            warnings.simplefilter("always")
-            try:
-                result = load(*args)
-            except DatasetFormatError as exc:
-                result = str(exc)
-        assert not caught, [str(w.message) for w in caught]
-        if isinstance(result, str):
-            outcomes.append(result)
-            continue
-        if isinstance(result, np.ndarray):
-            arrays = [result]
-        else:
-            g, x, labels = result
-            arrays = [g.row_ptr, g.col_idx, g.degrees, g.adj.data, x.indptr, x.indices, x.data, labels]
-        outcomes.append([None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays])
-    return outcomes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(*args)
+        except DatasetFormatError as exc:
+            result = str(exc)
+    assert not caught, [str(w.message) for w in caught]
+    if isinstance(result, str):
+        return result
+    if isinstance(result, np.ndarray):
+        arrays = [result]
+    else:
+        g, x, labels = result
+        arrays = [g.row_ptr, g.col_idx, g.degrees, g.adj.data, x.indptr, x.indices, x.data, labels]
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@contextmanager
+def piped(content: bytes):
+    """A /dev/fd path to the read end of a pipe holding ``content``, as ``<(cat file)`` gives."""
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(content)
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
 
 
 def objective_kw(**overrides) -> dict:

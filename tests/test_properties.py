@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import both_readers, fd_gradient, fd_scalar, max_rel_err, objective_kw
+from oracles import fd_gradient, fd_scalar, max_rel_err, objective_kw, outcome, piped
 from pottscluster import (
     FeatureDropout,
     evaluate_objective,
@@ -146,9 +146,9 @@ def test_save_dataset_writes_only_what_load_dataset_reads(dataset):
     assert (labels2 is None) if labels is None else labels2.tolist() == labels.tolist()
 
 
-# Text that numpy's C parser and the row loop might read differently: whitespace
-# either strips, numerals only Python reads, values the checks reject, ids
-# past int64, characters numpy mistakes for digits, and line-level changes.
+# Text the reader must refuse or read as the clean file: whitespace numpy
+# might strip, numerals only Python reads, values the checks reject, ids past
+# int64, characters numpy mistakes for digits, and line-level changes.
 SPACES = " \x0b\x0c\xa0\u2003\x1c\x85"
 ODD_TOKENS = ["inf", "-inf", "nan", "Infinity", "1e999", "1e-400", "0x1p3", "1.0", "", "x", "-1", "-0", "007",
               "9", str(2**63 - 1), str(2**63), str(10**30), "1\x00", "\u01fe", "\u2460"]
@@ -156,40 +156,46 @@ ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665
 
 
 @st.composite
-def perturbed_tsv(draw, rows: list[list[str]]) -> bytes:
-    """The rows as a tab-separated file: up to three tokens and three lines altered, any line end, maybe a BOM."""
+def perturbed_tsv(draw, rows: list[list[str]], benign: bool = False) -> bytes:
+    """The rows as a tab-separated file: up to three tokens and three lines altered, any line end, maybe a BOM.
+
+    A ``benign`` file alters only by ASCII spaces around a token, a ``+``
+    before its digits and empty lines, and starts with no BOM.
+    """
     rows = [list(row) for row in rows]
+    token_kinds = ["pad", "plus"] + ([] if benign else ["underscore", "unicode", "odd"])
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         i = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(0, len(rows[i]) - 1))
         token = rows[i][j]
-        kind = draw(st.sampled_from(["pad", "plus", "underscore", "unicode", "odd"]))
+        kind = draw(st.sampled_from(token_kinds))
         if kind == "pad":
-            token = draw(st.text(SPACES, max_size=2)) + token + draw(st.text(SPACES, min_size=1, max_size=2))
-        elif kind == "plus":
+            spaces = " " if benign else SPACES
+            token = draw(st.text(spaces, max_size=2)) + token + draw(st.text(spaces, min_size=1, max_size=2))
+        elif kind == "plus" and token[:1].isdigit():
             token = "+" + token
         elif kind == "underscore":
             token = token[:1] + "_" + token[1:] if len(token) > 1 and token[1].isdigit() else "1_0"
         elif kind == "unicode":
             token = token.translate(ARABIC_INDIC)
-        else:
+        elif kind == "odd":
             token = draw(st.sampled_from(ODD_TOKENS))
         rows[i][j] = token
     lines = ["\t".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["duplicate", "blank", "trailing-tab", "comment"]))
+        kind = draw(st.sampled_from(["blank"] if benign else ["duplicate", "blank", "trailing-tab", "comment"]))
         at = draw(st.integers(0, len(lines)))
         if kind == "duplicate" and lines:
             lines.insert(at, lines[draw(st.integers(0, len(lines) - 1))])
         elif kind == "blank":
-            lines.insert(at, draw(st.sampled_from(["", "", " ", "\t", "\x0c"])))
+            lines.insert(at, draw(st.sampled_from([""] if benign else ["", "", " ", "\t", "\x0c"])))
         elif kind == "trailing-tab" and at < len(lines):
             lines[at] += "\t"
         elif kind == "comment":
             lines.insert(at, "#" + "\t".join(rows[0]) if rows else "#")
     end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     text = end.join(lines) + (end if lines and draw(st.booleans()) else "")
-    return (draw(st.sampled_from(["", "", "", "\ufeff"])) + text).encode("utf-8")
+    return (draw(st.sampled_from([""] if benign else ["", "", "", "\ufeff"])) + text).encode("utf-8")
 
 
 floats17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}")
@@ -197,46 +203,45 @@ floats17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.
 
 @settings(max_examples=100)
 @given(data=st.data(), n=st.integers(1, 5), num_features=st.one_of(st.integers(1, 3), st.just(2**62)),
-       num_classes=st.integers(1, 3), target=st.sampled_from(["edges.tsv", "features.tsv", "labels.tsv"]))
-def test_array_reader_agrees_with_row_loop(data, n, num_features, num_classes, target):
-    # 2**62 features: a row-major key node * num_features + feature would pass int64 from node 2 on
+       num_classes=st.integers(1, 3), target=st.sampled_from(["edges.tsv", "features.tsv", "labels.tsv", "a.tsv"]),
+       benign=st.booleans())
+def test_perturbed_files_load_or_name_the_file(data, n, num_features, num_classes, target, benign):
+    # a perturbed file loads or raises DatasetFormatError naming it, with no
+    # warning; a benign one loads the clean file's arrays; and a pipe holding
+    # an assignment file's bytes gives what the file gives
     node = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(node, node), max_size=6), label="edges")
     cells = data.draw(st.lists(st.tuples(node, st.integers(0, num_features - 1)), unique=True, max_size=6))
     values = data.draw(st.lists(floats17, min_size=len(cells), max_size=len(cells)), label="values")
     order = data.draw(st.permutations(range(n)), label="label order")
     labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n), label="labels")
+    ids = st.one_of(st.integers(0, 5), st.sampled_from([10**12, 2**63 - 1]))
+    clusters = data.draw(st.lists(ids, min_size=n, max_size=n), label="clusters")
     rows = {
         "edges.tsv": [[str(u), str(v)] for u, v in edges],
         "features.tsv": [[str(u), str(f), v] for (u, f), v in zip(cells, values)],
         "labels.tsv": [[str(u), str(labels[u])] for u in order],
+        "a.tsv": [[str(u), str(clusters[u])] for u in order],
     }
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         meta = {"n": n, "num_features": num_features, "num_classes": num_classes}
         (root / "meta.json").write_text(json.dumps(meta))
         for name, file_rows in rows.items():
-            if name == target:
-                text = data.draw(perturbed_tsv(file_rows), label=name)
-            else:
-                text = "".join("\t".join(row) + "\n" for row in file_rows).encode()
-            (root / name).write_bytes(text)
-        first, second = both_readers(load_dataset, root)
-    assert first == second
-
-
-@settings(max_examples=100)
-@given(data=st.data(), n=st.integers(0, 6))
-def test_assignment_readers_agree(data, n):
-    ids = st.one_of(st.integers(0, 5), st.sampled_from([10**12, 2**63 - 1, 2**63, 10**30]))
-    clusters = data.draw(st.lists(ids, min_size=n, max_size=n), label="clusters")
-    order = data.draw(st.permutations(range(n)), label="order")
-    text = data.draw(perturbed_tsv([[str(u), str(clusters[u])] for u in order]), label="a.tsv")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "a.tsv"
-        path.write_bytes(text)
-        first, second = both_readers(load_assignment, path, n)
-    assert first == second
+            (root / name).write_text("".join("\t".join(row) + "\n" for row in file_rows))
+        load = (load_assignment, root / "a.tsv", n) if target == "a.tsv" else (load_dataset, root)
+        clean = outcome(*load)
+        text = data.draw(perturbed_tsv(rows[target], benign), label=target)
+        (root / target).write_bytes(text)
+        got = outcome(*load)
+        if target == "a.tsv":
+            with piped(text) as pipe:  # the message names the pipe where it names the file
+                from_pipe = outcome(load_assignment, pipe, n)
+            assert from_pipe == (got.replace("a.tsv:", f"{Path(pipe).name}:", 1) if isinstance(got, str) else got)
+    assert not isinstance(got, str) or got.startswith(f"{target}:")
+    assert not isinstance(clean, str)
+    if benign:
+        assert got == clean
 
 
 @pytest.mark.parametrize("kind", ["potts", "dmon", "mincut_ortho"])
