@@ -106,6 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="the first pair's seed")
     parser.add_argument("--claim", metavar="METRIC", help="also judge a claimed gain on this metric")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     if args.claim is not None and args.claim not in {m["name"] for m in spec}:

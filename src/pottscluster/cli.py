@@ -28,6 +28,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
     write_atomic,
+    write_node_ids,
 )
 from .graph import ring_of_cliques, sbm
 from .metrics import evaluate_partition, hard_assign
@@ -98,9 +99,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         rows.append(",".join(f"{getattr(r, name):.17g}" for name in TRACE_FIELDS))
     write_atomic(out / "trace.csv", "\n".join(rows) + "\n")
 
-    pred = hard_assign(base.trace.final_assignment)
-    assign_lines = [f"{i}\t{int(c)}" for i, c in enumerate(pred)]
-    write_atomic(out / "assignment.tsv", "\n".join(assign_lines) + "\n")
+    write_node_ids(out / "assignment.tsv", hard_assign(base.trace.final_assignment))
 
     payload = {
         "config": dataclasses.asdict(config),

@@ -16,9 +16,9 @@ archives can be written in any language.
 
 Each .tsv file may hold only printable ASCII, tabs and line ends (\\n,
 \\r\\n or \\r); a non-blank line is one record of tab-separated decimal
-numerals as numpy reads them into int64 and float64. One ``np.loadtxt``
-call parses each file, array operations check the values, and every error
-names the file and, where it has one, the line.
+numerals as numpy reads them into int64 and float64. Each file is read
+once and parsed by one ``np.loadtxt`` call, array operations check the
+values, and every error names the file and, where it has one, the line.
 """
 from __future__ import annotations
 
@@ -54,16 +54,9 @@ def _fail(name: str, lineno: int, problem: str) -> None:
     raise DatasetFormatError(f"{name}:{lineno}: {problem}")
 
 
-def _read_bytes(path: Path) -> bytes:
-    """The file's bytes, read once, so a pipe such as ``<(cat a.tsv)`` loads too."""
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-
-
 _INT64_MAX = np.iinfo(np.int64).max
 _TEXT = bytes(range(0x20, 0x7F)) + b"\t\n\r"  # the bytes a .tsv file may hold
+# each table's records, which _read_table parses and _write_table writes
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
 _NODE_ID = np.dtype([("node", np.int64), ("id", np.int64)])  # labels.tsv and assignment files
 _FEATURE = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
@@ -76,13 +69,17 @@ def _line(raw: bytes, record: int) -> tuple[int, list[str]]:
     return lineno, lines[lineno - 1].decode("ascii").split("\t")
 
 
-def _read_table(path: Path, raw: bytes, row: np.dtype, what: tuple[str, ...]) -> np.ndarray:
-    """The file ``path`` holding ``raw`` as records of ``row``, one per non-blank line, parsed by numpy's C reader.
+def _read_table(path: Path, row: np.dtype, what: tuple[str, ...]) -> tuple[np.ndarray, bytes]:
+    """The file ``path``, read once so a pipe loads too, as records of ``row``, one per non-blank line, and its bytes.
 
-    ``what`` names each column in messages. The file may hold only printable
-    ASCII, tabs and line ends; numpy would read some other characters as
-    digits of another value. ``comments=None`` keeps a ``#`` line a record.
+    ``what`` names each column in messages. The bytes numpy parses may hold
+    only printable ASCII, tabs and line ends; numpy would read some other
+    characters as digits of another value. ``comments=None`` keeps a ``#`` line a record.
     """
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     other = raw.translate(None, _TEXT)  # the other bytes, in file order
     if other:
         at = raw.index(other[:1])  # the byte's line is the last of the lines up to it
@@ -94,10 +91,8 @@ def _read_table(path: Path, raw: bytes, row: np.dtype, what: tuple[str, ...]) ->
         # such as "1.5" through a float, warning only, without a row
         warnings.filterwarnings("error", category=DeprecationWarning)
         try:
-            # a regular file by its path again: numpy reads a path in chunks but a
-            # file object line by line, 1.8x as long on csbm-cora; a pipe is read once
-            source = path if path.is_file() else io.TextIOWrapper(io.BytesIO(raw), encoding="ascii")
-            return np.loadtxt(source, dtype=row, delimiter="\t", comments=None, encoding="utf-8", ndmin=1)
+            text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii")  # lines end at \n, \r\n and \r
+            return np.loadtxt(text, dtype=row, delimiter="\t", comments=None, ndmin=1), raw
         except DeprecationWarning:
             raise DatasetFormatError(f"{path.name}: an id or index is not an integer") from None
         except ValueError as exc:
@@ -191,8 +186,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
 
 def _read_edges(path: Path, n: int) -> np.ndarray:
     """edges.tsv's (u, v) pairs, each id checked against n."""
-    raw = _read_bytes(path)
-    table = _read_table(path, raw, _EDGE, ("node id", "node id"))
+    table, raw = _read_table(path, _EDGE, ("node id", "node id"))
     u, v = table["u"], table["v"]
     _fail_first(path, raw, (u < 0) | (u >= n) | (v < 0) | (v >= n),
                 lambda i: f"edge ({u[i]},{v[i]}) out of range for n={n}")
@@ -201,8 +195,7 @@ def _read_edges(path: Path, n: int) -> np.ndarray:
 
 def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
     """features.tsv as a canonical (n, num_features) CSR matrix, rejecting duplicate and non-finite entries."""
-    raw = _read_bytes(path)
-    table = _read_table(path, raw, _FEATURE, ("node id", "feature index", "value"))
+    table, raw = _read_table(path, _FEATURE, ("node id", "feature index", "value"))
     node, feat, value = table["node"], table["feature"], table["value"]
     _fail_first(path, raw, (node < 0) | (node >= n), lambda i: f"node id {node[i]} out of range for n={n}")
     _fail_first(path, raw, (feat < 0) | (feat >= num_features),
@@ -217,8 +210,7 @@ def _read_features(path: Path, n: int, num_features: int) -> sp.csr_matrix:
 
 def _read_node_ids(path: Path, n: int, what: str) -> np.ndarray:
     """The node<TAB>id file ``path`` as one non-negative int64 ``what`` per node 0..n-1, every node named once."""
-    raw = _read_bytes(path)
-    table = _read_table(path, raw, _NODE_ID, ("node id", what))
+    table, raw = _read_table(path, _NODE_ID, ("node id", what))
     node, ids = table["node"], table["id"]
     _fail_first(path, raw, (node < 0) | (node >= n), lambda i: f"node id {node[i]} out of range for n={n}")
     _fail_first(path, raw, ids < 0, lambda i: f"negative {what} {ids[i]}")
@@ -274,6 +266,18 @@ def write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_table(path: Path, row: np.dtype, *columns: np.ndarray) -> None:
+    """Write ``columns`` as records of ``row``, one tab-separated line each: ints as digits, floats as %.17g."""
+    line = "\t".join("%.17g" if row[name].kind == "f" else "%d" for name in row.names) + "\n"
+    fields = [np.asarray(column, dtype=row[name]).tolist() for name, column in zip(row.names, columns)]
+    write_atomic(path, "".join(line % record for record in zip(*fields)))  # one record's tuple at a time
+
+
+def write_node_ids(path: Path, ids: np.ndarray) -> None:
+    """Write ids[i] as node i's id, the layout of labels.tsv and assignment files."""
+    _write_table(path, _NODE_ID, np.arange(ids.size), ids)
+
+
 def save_dataset(
     path: str | os.PathLike,
     g: Graph,
@@ -288,9 +292,10 @@ def save_dataset(
     matrix; both forms of the same matrix write the same files (see
     ``feature_matrix``). ``labels`` are checked by check_ids, so float and
     bool labels are rejected, not cast. meta.json's ``num_classes`` is the
-    largest label plus one, or 0 without labels. A dataset ``load_dataset``
-    would refuse raises ValueError before anything is written: meta.json's
-    counts go through the loader's own check, and feature values must be finite.
+    largest label plus one, or 0 without labels, when an earlier labels.tsv
+    is removed. A dataset ``load_dataset`` would refuse raises ValueError
+    before anything is written: meta.json's counts go through the loader's
+    own check, and feature values must be finite.
     """
     x = feature_matrix(x, g.n)
     if not np.isfinite(x.data).all():
@@ -304,22 +309,16 @@ def save_dataset(
 
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    if labels is None:  # the loader refuses an earlier labels.tsv beside num_classes 0
+        (root / "labels.tsv").unlink(missing_ok=True)
     write_atomic(root / "meta.json", json.dumps(meta, indent=2) + "\n")
 
     src = g.arc_sources()
     keep = src < g.col_idx
-    edge_lines = [f"{u}\t{v}" for u, v in zip(src[keep], g.col_idx[keep])]
-    write_atomic(root / "edges.tsv", "\n".join(edge_lines) + ("\n" if edge_lines else ""))
-
-    rows = np.repeat(np.arange(g.n), np.diff(x.indptr))
-    feat_lines = [
-        f"{r}\t{c}\t{v:.17g}" for r, c, v in zip(rows.tolist(), x.indices.tolist(), x.data.tolist())
-    ]
-    write_atomic(root / "features.tsv", "\n".join(feat_lines) + ("\n" if feat_lines else ""))
-
+    _write_table(root / "edges.tsv", _EDGE, src[keep], g.col_idx[keep])
+    _write_table(root / "features.tsv", _FEATURE, np.repeat(np.arange(g.n), np.diff(x.indptr)), x.indices, x.data)
     if labels is not None:
-        label_lines = [f"{i}\t{int(lab)}" for i, lab in enumerate(labels)]
-        write_atomic(root / "labels.tsv", "\n".join(label_lines) + "\n")
+        write_node_ids(root / "labels.tsv", labels)
 
 
 def one_hot_degree_features(g: Graph) -> np.ndarray:

@@ -120,10 +120,11 @@ class TrainConfig:
 
 
 class TrainDivergedError(RuntimeError):
-    """Raised when the objective becomes non-finite during training."""
+    """Raised when the objective, or the final assignment (``breakdown`` None), becomes non-finite."""
 
-    def __init__(self, epoch: int, breakdown: LossBreakdown):
-        super().__init__(f"objective became non-finite at epoch {epoch}: total={breakdown.total}")
+    def __init__(self, epoch: int, breakdown: LossBreakdown | None = None):
+        super().__init__(f"final assignment became non-finite after epoch {epoch}" if breakdown is None
+                         else f"objective became non-finite at epoch {epoch}: total={breakdown.total}")
         self.epoch = epoch
         self.breakdown = breakdown
 
@@ -294,6 +295,8 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
             records.append(EpochRecord.of(epoch, breakdown, params.gamma))
 
         c_final, _ = forward(abar, x, params, cache=cache)  # the cache ends here: C can be the result
+        if not np.isfinite(c_final).all():  # the last Adam step can overflow it with no objective after it
+            raise TrainDivergedError(config.epochs)
     return RunTrace(records=records, final_params=params, final_assignment=c_final)
 
 

@@ -110,6 +110,16 @@ def test_incorrect_run_exits_1(tmp_path, monkeypatch):
     assert ab.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
 
 
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_is_a_usage_error(tmp_path, capsys, pairs):
+    parent = stub_checkout(tmp_path / "parent", {0: 1.0})
+    with pytest.raises(SystemExit) as exit_:
+        ab.main([str(parent), str(parent), "--workload", "w", "--pairs", pairs])
+    assert exit_.value.code == 2
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+    assert not (tmp_path / "calls").exists()
+
+
 def _python3_as_this_interpreter(run):
     def patched(cmd, **kwargs):
         return run([sys.executable, *cmd[1:]], **kwargs)

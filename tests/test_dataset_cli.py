@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -194,14 +195,23 @@ def out_of_memory(*args, **kwargs):
 
 
 def spy_loadtxt(monkeypatch) -> list[str]:
-    """The names of the files np.loadtxt parses from now on, in call order."""
-    names = []
-    loadtxt = np.loadtxt
+    """The names of the files np.loadtxt parses from now on, in call order: the file _read_table reads at each call."""
+    names, reading = [], []
+    read_table, loadtxt = dataset._read_table, np.loadtxt
+
+    def spy_read(path, *args, **kwargs):
+        reading.append(path.name)
+        try:
+            return read_table(path, *args, **kwargs)
+        finally:
+            reading.pop()
 
     def spy(source, *args, **kwargs):
-        names.append(source.name if isinstance(source, Path) else "<pipe>")
+        assert not isinstance(source, (str, os.PathLike))  # numpy parses the bytes read, never a path
+        names.append(reading[-1])
         return loadtxt(source, *args, **kwargs)
 
+    monkeypatch.setattr(dataset, "_read_table", spy_read)
     monkeypatch.setattr(dataset.np, "loadtxt", spy)
     return names
 
@@ -303,7 +313,7 @@ class TestArrayReader:
         assert parsed.count(name) == 1  # the error path parses nothing again
 
     def test_errors_name_the_line_in_a_long_file(self, tmp_path):
-        # numpy reads a path in chunks; its row numbers carry no chunk offset
+        # numpy's row numbers count records over the whole file, past a blank line
         root = tmp_path / "d"
         write_minimal(root, labels=False)
         (root / "meta.json").write_text('{"n": 1000, "num_features": 1, "num_classes": 0}')
@@ -374,6 +384,28 @@ class TestArrayReader:
         with piped(content) as path:
             assert load_assignment(path, 3).tolist() == ids
 
+    def test_numpy_parses_the_bytes_the_gate_checked(self, tmp_path, monkeypatch):
+        # each file is read once: bytes that differ from the file on disk, as when the file
+        # changes between the read and the parse, are the bytes checked and parsed
+        root = tmp_path / "d"
+        write_minimal(root)
+        (tmp_path / "a.tsv").write_text("0\t0\n1\t1\n")
+        gated = {"edges.tsv": b"\n", "features.tsv": b"1\t0\t7\n", "labels.tsv": b"0\t1\n1\t0\n",
+                 "a.tsv": b"0\t5\n1\t2\n"}
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def read_gated(path):
+            reads.append(path.name)
+            return gated[path.name] if path.name in gated else read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", read_gated)
+        g, x, labels = load_dataset(root)
+        pred = load_assignment(tmp_path / "a.tsv", 2)
+        assert g.m == 0 and x.toarray().tolist() == [[0.0], [7.0]] and labels.tolist() == [1, 0]
+        assert pred.tolist() == [1, 0]
+        assert reads == ["edges.tsv", "features.tsv", "labels.tsv", "a.tsv"]
+
     def test_features_past_int64_in_row_major_order_load(self, tmp_path):
         # node 3 of 2**62 features sits at row-major position 3 * 2**62, past int64
         root = tmp_path / "d"
@@ -413,11 +445,12 @@ class TestArrayReader:
         if lenient:
             parse = np.loadtxt
 
-            def loadtxt(fname, dtype, **kwargs):
-                if dtype != dataset._FEATURE and re.search("[.e]", Path(fname).read_text()):
+            def loadtxt(text, dtype, **kwargs):
+                content = text.read()
+                if dtype != dataset._FEATURE and re.search("[.e]", content):
                     warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
                     return np.ones(1, dtype=dtype)
-                return parse(fname, dtype=dtype, **kwargs)
+                return parse(io.StringIO(content), dtype=dtype, **kwargs)
 
             monkeypatch.setattr(dataset.np, "loadtxt", loadtxt)
         root = tmp_path / "d"
@@ -472,6 +505,14 @@ class TestSaveDataset:
         save_dataset(tmp_path / "d", g, np.eye(2))
         _, _, labels = load_dataset(tmp_path / "d")
         assert labels is None
+
+    def test_saving_without_labels_removes_an_earlier_labels_file(self, tmp_path):
+        # num_classes 0 beside an earlier labels.tsv would not load
+        g = from_edge_list([(0, 1)], 2)
+        save_dataset(tmp_path / "d", g, np.eye(2), np.array([0, 1]))
+        save_dataset(tmp_path / "d", g, np.eye(2))
+        assert not (tmp_path / "d" / "labels.tsv").exists()
+        assert load_dataset(tmp_path / "d")[2] is None
 
     def test_graph_of_numpy_integer_n_saves(self, tmp_path):
         graphs = {"edge": from_edge_list([(0, 1)], np.int64(2)), "ring": ring_of_cliques(np.int64(4), 3)[0]}
@@ -860,6 +901,14 @@ class TestCliTrain:
         assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg),
                        "--out", str(tmp_path / "o")) == 4
         assert re.fullmatch(r"error: objective became non-finite at epoch 2: [^\n]*\n", capsys.readouterr().err)
+
+    def test_non_finite_final_assignment_exits_4(self, tmp_path, ring_dataset, capsys):
+        # epoch 1's objective is finite; its Adam step, of size 1e300, overflows the final eval-mode forward
+        cfg = write_config(tmp_path, learning_rate=1e300, epochs=1, k=4)
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == "error: final assignment became non-finite after epoch 1\n"
+        assert not (tmp_path / "o" / "assignment.tsv").exists()
 
     def test_verbose_logs_to_stderr(self, tmp_path, ring_dataset, monkeypatch, capsys):
         monkeypatch.setenv("POTTSCLUSTER_VERBOSE", "1")

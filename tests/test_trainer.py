@@ -412,6 +412,13 @@ class TestTrain:
         assert err.value.epoch >= 0
         assert not np.isfinite(err.value.breakdown.total)
 
+    def test_non_finite_final_assignment_raises(self, k4_setup):
+        # epoch 1's objective is finite; its Adam step, of size 1e300, overflows the final eval-mode forward
+        g, x, _ = k4_setup
+        with pytest.raises(TrainDivergedError, match="^final assignment became non-finite after epoch 1$") as err:
+            train(g, x, TrainConfig(learning_rate=1e300, epochs=1, k=4))
+        assert err.value.epoch == 1 and err.value.breakdown is None
+
     def test_dense_and_csr_features_train_identically(self, two_k4s):
         x = np.where(np.random.default_rng(3).random((8, 12)) < 0.3, 1.5, 0.0)
         cfg = TrainConfig(seed=2, epochs=30, dropout_keep=0.6)
