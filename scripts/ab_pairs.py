@@ -7,7 +7,13 @@
 PARENT and CHANGE are two checkouts of the repository. Pair i runs
 ``python3 perfbench/run.py --workload W --seed S --trace 0`` once in each,
 with S the first seed plus i; even pairs run the parent first, odd pairs the
-change. The last line a run prints is its JSON result. For each end-to-end
+change. The last line a run prints is its JSON result. Before either run of
+a pair, an unmeasured ``--seconds 1`` run in each checkout caches the pair's
+dataset there: a run that generates its dataset does so in its own process,
+whose peak RSS every ``train`` it launches then reports, so both sides are
+measured from a filled cache. Each run has its own session, and SIGTERM,
+SIGINT or an error kills the running one's process group before the script
+exits non-zero. For each end-to-end
 metric in the parent's BENCHMARK.json the script prints every pair, each
 side's median and quartiles, the median over pairs of the change's value
 over the parent's (the two runs of a pair share the host's state, so this
@@ -28,8 +34,11 @@ correct. Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -83,9 +92,26 @@ def claim(parent: list[float], change: list[float], better: str) -> tuple[bool, 
     return len(parent) >= MIN_CLAIM_PAIRS and won >= CLAIM_WIN_SHARE * len(parent), gain > q3 - q1
 
 
+def run_bench(checkout: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python3 perfbench/run.py *args`` in ``checkout``, in a session of its own.
+
+    If waiting for it ends in an exception, its process group, the run and
+    every ``train`` it started, is killed first.
+    """
+    cmd = ["python3", "perfbench/run.py", *args]
+    with subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:  # SIGTERM and SIGINT arrive as SystemExit, from _exit_on_signal
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = run_bench(checkout, "--workload", workload, "--seed", str(seed), "--trace", "0")
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -117,6 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(args.pairs):
         seed = args.seed + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:  # unmeasured: each side caches the dataset before either side is measured
+            run_bench(sides[side], "--workload", args.workload, "--seed", str(seed), "--seconds", "1")
         for side in order:
             result = run_once(sides[side], args.workload, seed)
             if not result["correct"]:
@@ -146,5 +174,11 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 if __name__ == "__main__":
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _exit_on_signal)
     sys.exit(main())

@@ -19,7 +19,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import zipfile
 from pathlib import Path
@@ -28,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from pottscluster import from_edge_list, save_dataset
+from pottscluster.dataset import read_json_object
 
 
 def load_csr(archive, prefix: str) -> sp.csr_matrix:
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     except (OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:  # a malformed archive
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    meta = json.loads((Path(args.out) / "meta.json").read_text())
+    meta = read_json_object(Path(args.out) / "meta.json", "meta.json")
     print(f"wrote {args.out}: n={meta['n']} m={g.m} features={meta['num_features']} classes={meta['num_classes']}")
     return 0
 

@@ -26,6 +26,7 @@ from .dataset import (
     adjacency_features,
     load_assignment,
     load_dataset,
+    read_json_object,
     save_dataset,
     write_atomic,
     write_node_ids,
@@ -57,15 +58,7 @@ def _log(msg: str) -> None:
 def _load_config(path: str | None) -> TrainConfig:
     if path is None:
         return TrainConfig()
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return TrainConfig.from_dict(raw)
+    return TrainConfig.from_dict(read_json_object(path, f"config file {path}"))
 
 
 def _load_graph_dataset(path: str):

@@ -10,6 +10,7 @@ An assignment file, as ``pottscluster train`` writes and ``eval`` reads,
 has the labels.tsv layout with a cluster id in place of the label; one
 reader, ``_read_node_ids``, reads both. The loader's checks are the one
 statement of the format: ``save_dataset`` runs them before it writes.
+``read_json_object`` reads meta.json and the CLI's ``--config`` file.
 
 The format is deliberately plain so converters from public benchmark
 archives can be written in any language.
@@ -123,10 +124,8 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
     return repeats
 
 
-def _check_meta(raw) -> tuple[int, int, int]:
+def _check_meta(raw: dict) -> tuple[int, int, int]:
     """meta.json's (n, num_features, num_classes), as read or about to be written, each checked in that order."""
-    if not isinstance(raw, dict):
-        raise DatasetFormatError("meta.json: top level must be an object")
     out = []
     for key, low in (("n", 1), ("num_features", 1), ("num_classes", 0)):
         if key not in raw:
@@ -145,16 +144,6 @@ def _check_meta(raw) -> tuple[int, int, int]:
     return n, num_features, num_classes
 
 
-def _load_meta(path: Path) -> tuple[int, int, int]:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"meta.json: invalid JSON ({exc})") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    return _check_meta(raw)
-
-
 def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndarray | None]:
     """Read a dataset directory into (graph, features, labels-or-None).
 
@@ -168,7 +157,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[Graph, sp.csr_matrix, np.ndar
     for name in ("meta.json", "edges.tsv", "features.tsv"):
         if not (root / name).is_file():
             raise DatasetFormatError(f"missing required file: {name}")
-    n, num_features, num_classes = _load_meta(root / "meta.json")
+    n, num_features, num_classes = _check_meta(read_json_object(root / "meta.json", "meta.json", DatasetFormatError))
 
     try:  # arrays of n + 1 entries, or the files' own arrays, may not fit in memory
         g = from_edge_list(_read_edges(root / "edges.tsv", n), n)
@@ -257,6 +246,19 @@ def feature_matrix(x: np.ndarray | sp.spmatrix, n: int) -> sp.csr_matrix:
     x.sum_duplicates()
     x.eliminate_zeros()
     return x
+
+
+def read_json_object(path: str | os.PathLike, name: str, error: type[ValueError] = ValueError) -> dict:
+    """The JSON object the UTF-8 file ``path`` holds, or ``error`` naming the file as ``name``."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the parser's depth
+        raise error(f"{name}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {name}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{name} must hold a JSON object")
+    return raw
 
 
 def write_atomic(path: Path, text: str) -> None:

@@ -74,7 +74,7 @@ def check_ids(ids, what: str, n: int | None = None) -> np.ndarray:
 
 
 def from_edge_list(edges, n: int) -> Graph:
-    """Build a Graph from (u, v) pairs.
+    """Build a Graph from (u, v) pairs, an (m, 2) array or a list of m pairs.
 
     Node ids are checked by check_ids, then against n. Self-loops are
     dropped and duplicate edges, in either orientation, collapse to a
@@ -82,7 +82,10 @@ def from_edge_list(edges, n: int) -> Graph:
     """
     if n < 0:
         raise ValueError(f"node count must be nonnegative, got {n}")
-    arr = check_ids(list(edges) if not isinstance(edges, np.ndarray) else edges, "node ids").reshape(-1, 2)
+    arr = check_ids(list(edges) if not isinstance(edges, np.ndarray) else edges, "node ids")
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise ValueError(f"edges must be (u, v) pairs, shape (m, 2), got shape {arr.shape}")
+    arr = arr.reshape(-1, 2)  # [] is the edgeless graph
     if arr.size and arr.max() >= n:
         bad = arr[(arr >= n).any(axis=1)][0]
         raise ValueError(f"edge ({bad[0]},{bad[1]}) out of bounds for n={n}")
@@ -169,9 +172,10 @@ def sbm(sizes, p_in: float, p_out: float, seed) -> tuple[Graph, np.ndarray]:
     that many distinct node pairs, so time and memory are O(n + m) and the
     edge set is a deterministic function of the seed.
     """
+    sizes = list(sizes)
+    if not sizes or any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1 for s in sizes):
+        raise ValueError(f"block sizes must be positive integers, got {sizes}")  # nothing is cast, as in check_ids
     sizes = [int(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"block sizes must be positive, got {sizes}")
     if sum(sizes) > np.iinfo(np.int64).max:
         raise ValueError(f"block sizes {sizes} total {sum(sizes)} nodes, past the int64 range")
     if not (0.0 <= p_out <= p_in <= 1.0):

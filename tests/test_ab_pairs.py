@@ -1,11 +1,16 @@
 # tests/test_ab_pairs.py
-"""The verdict arithmetic of scripts/ab_pairs.py, on synthetic pairs and on stub checkouts."""
+"""The verdict arithmetic of scripts/ab_pairs.py, on synthetic pairs, and its runs, on stub checkouts."""
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,33 +83,110 @@ def test_claim_needs_ten_pairs():
 
 
 def stub_checkout(root: Path, wall_s: dict[int, float], correct: bool = True) -> Path:
-    """A checkout whose perfbench/run.py prints a fixed result per seed and logs its call order."""
+    """A checkout whose perfbench/run.py prints a fixed result per seed and logs its call order.
+
+    Like the real harness, a run caches its seed's dataset in the checkout; a run
+    that finds none reads twice its seed's ``wall_s``, as a generated dataset raises
+    the real runs' peak RSS. A ``--seconds`` run logs itself as a warm-up.
+    """
     (root / "perfbench").mkdir(parents=True)
+    (root / "cache").mkdir()
     spec = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
     (root / "perfbench" / "run.py").write_text(
-        "import json, sys\n"
+        "import json, os, sys\n"
         "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
-        f"with open({str(root.parent / 'calls')!r}, 'a') as fh: fh.write({root.name!r} + '\\n')\n"
+        "cached = os.path.exists(f'cache/s{seed}')\n"
+        "open(f'cache/s{seed}', 'a').close()\n"
+        "call = '-warm-up' if '--seconds' in sys.argv else ''\n"
+        f"with open({str(root.parent / 'calls')!r}, 'a') as fh: fh.write({root.name!r} + call + '\\n')\n"
         "print('human-readable lines first')\n"
-        f"print(json.dumps({{'correct': {correct}, 'metrics': {{'wall_s': {{'value': {wall_s!r}[seed]}}}}}}))\n"
+        f"value = {wall_s!r}[seed] * (1 if cached else 2)\n"
+        f"print(json.dumps({{'correct': {correct}, 'metrics': {{'wall_s': {{'value': value}}}}}}))\n"
     )
     return root
 
 
 def test_pairs_alternate_and_report(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(ab.subprocess, "run", _python3_as_this_interpreter(ab.subprocess.run))
+    monkeypatch.setattr(ab.subprocess, "Popen", _python3_as_this_interpreter(ab.subprocess.Popen))
     parent = stub_checkout(tmp_path / "parent", {5: 1.0, 6: 1.0, 7: 1.0})
     change = stub_checkout(tmp_path / "change", {5: 1.5, 6: 1.0, 7: 0.9})
     assert ab.main([str(parent), str(change), "--workload", "w", "--pairs", "3", "--seed", "5"]) == 0
-    assert (tmp_path / "calls").read_text().split() == ["parent", "change", "change", "parent", "parent", "change"]
+    assert (tmp_path / "calls").read_text().split() == [
+        "parent-warm-up", "change-warm-up", "parent", "change",
+        "change-warm-up", "parent-warm-up", "change", "parent",
+        "parent-warm-up", "change-warm-up", "parent", "change",
+    ]
     out = capsys.readouterr().out
     assert "pair 1 seed 6 (change first): wall_s 1 / 1" in out
     assert "(+0.0% worse; median pair ratio 1); change won 1, lost 1, tied 1; within" in out
 
 
+def test_both_sides_are_measured_from_a_filled_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ab.subprocess, "Popen", _python3_as_this_interpreter(ab.subprocess.Popen))
+    parent = stub_checkout(tmp_path / "parent", {0: 1.0, 1: 1.0})
+    change = stub_checkout(tmp_path / "change", {0: 1.0, 1: 1.0})
+    for seed in (0, 1):  # only the parent holds the datasets
+        (parent / "cache" / f"s{seed}").touch()
+    assert ab.main([str(parent), str(change), "--workload", "w", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "pair 0 seed 0 (parent first): wall_s 1 / 1" in out
+    assert "pair 1 seed 1 (change first): wall_s 1 / 1" in out
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_signal_kills_the_running_benchmark_and_its_children(tmp_path, signum):
+    # three processes: the script, the stub run.py it launches, and the stub's sleeping child
+    python3 = tmp_path / "bin" / "python3"
+    python3.parent.mkdir()
+    python3.symlink_to(sys.executable)
+    parent, change = stub_checkout(tmp_path / "parent", {0: 1.0}), stub_checkout(tmp_path / "change", {0: 1.0})
+    pids_file = tmp_path / "pids"
+    (parent / "perfbench" / "run.py").write_text(
+        "import os, subprocess, sys, time\n"
+        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+        f"with open({str(pids_file)!r} + '.tmp', 'w') as fh: fh.write(f'{{os.getpid()}} {{child.pid}}')\n"
+        f"os.replace({str(pids_file)!r} + '.tmp', {str(pids_file)!r})\n"
+        "time.sleep(60)\n"
+    )
+    env = {**os.environ, "PATH": f"{python3.parent}{os.pathsep}{os.environ.get('PATH', '')}"}
+    script = subprocess.Popen([sys.executable, str(SCRIPT), str(parent), str(change), "--workload", "w"],
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 10
+        while not pids_file.exists():
+            assert script.poll() is None and time.monotonic() < deadline, "the stub run never started"
+            time.sleep(0.05)
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        script.send_signal(signum)
+        assert script.wait(timeout=10) == 128 + signum
+        deadline = time.monotonic() + 5
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
+    finally:
+        script.kill()
+        script.wait()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie, which has exited and waits for its parent to reap it, does not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no /proc: a process that takes signals runs
+        return True
+
+
 def test_incorrect_run_exits_1(tmp_path, monkeypatch):
-    monkeypatch.setattr(ab.subprocess, "run", _python3_as_this_interpreter(ab.subprocess.run))
+    monkeypatch.setattr(ab.subprocess, "Popen", _python3_as_this_interpreter(ab.subprocess.Popen))
     parent = stub_checkout(tmp_path / "parent", {0: 1.0})
     change = stub_checkout(tmp_path / "change", {0: 1.0}, correct=False)
     assert ab.main([str(parent), str(change), "--workload", "w", "--pairs", "1"]) == 1
@@ -120,7 +202,7 @@ def test_pairs_below_one_is_a_usage_error(tmp_path, capsys, pairs):
     assert not (tmp_path / "calls").exists()
 
 
-def _python3_as_this_interpreter(run):
+def _python3_as_this_interpreter(popen):
     def patched(cmd, **kwargs):
-        return run([sys.executable, *cmd[1:]], **kwargs)
+        return popen([sys.executable, *cmd[1:]], **kwargs)
     return patched

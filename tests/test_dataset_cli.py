@@ -146,6 +146,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="cannot read .*meta.json"):
             load_dataset(tmp_path / "d")
 
+    def test_meta_nested_past_the_parsers_depth(self, tmp_path):
+        write_minimal(tmp_path / "d")
+        (tmp_path / "d" / "meta.json").write_text("[" * 100_000)  # json.loads raises RecursionError
+        with pytest.raises(DatasetFormatError, match=r"^meta.json: invalid JSON \("):
+            load_dataset(tmp_path / "d")
+
     def test_labels_need_positive_num_classes(self, tmp_path):
         write_minimal(tmp_path / "d")
         (tmp_path / "d" / "meta.json").write_text('{"n": 2, "num_features": 1, "num_classes": 0}')
@@ -799,6 +805,15 @@ class TestCliTrain:
         assert run_cli("train", "--data", str(ring_dataset), "--out", str(out), *extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + msg.format(tmp=tmp_path)) and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["{", "[" * 100_000], ids=["unclosed", "nested-past-the-parsers-depth"])
+    def test_config_that_is_not_json_exits_2(self, tmp_path, ring_dataset, capsys, text):
+        cfg, out = tmp_path / "bad.json", tmp_path / "o"
+        cfg.write_text(text)
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: invalid JSON (") and err.count("\n") == 1
         assert not out.exists()
 
     def test_dmon_with_gamma_max_below_one_exits_2(self, tmp_path, ring_dataset, capsys):

@@ -1,6 +1,7 @@
 # tests/test_graph.py
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,21 @@ class TestFromEdgeList:
             assert g.m == 2 and g.degrees.tolist() == [1, 2, 1]
             assert g.col_idx.tolist() == built[0].col_idx.tolist()
             assert g.row_ptr.tolist() == built[0].row_ptr.tolist()
+
+    @pytest.mark.parametrize(
+        "edges, shape",
+        [
+            ([(0, 1, 2), (1, 2, 0)], "(2, 3)"),
+            (np.array([0, 1, 1, 2]), "(4,)"),
+            (np.zeros((1, 2, 2), dtype=int), "(1, 2, 2)"),
+        ],
+        ids=["triples", "flat", "3-d"],
+    )
+    def test_edges_must_be_pairs(self, edges, shape):
+        # a reshape to (-1, 2) would read the triples as a triangle and the flat array as two edges
+        message = f"edges must be (u, v) pairs, shape (m, 2), got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_edge_list(edges, 3)
 
     def test_invariants_on_random_graphs(self):
         rng = np.random.default_rng(7)
@@ -250,6 +266,14 @@ class TestSbm:
             sbm([4, 4], 1.5, 0.0, 0)
         with pytest.raises(ValueError):
             sbm([0, 4], 1.0, 0.0, 0)
+
+    @pytest.mark.parametrize("sizes", [[3.7, 2.2], ["3", True], [True, 2], [np.float64(4.0), 2]],
+                             ids=["floats", "str-and-bool", "bool", "numpy-float"])
+    def test_block_sizes_are_not_cast(self, sizes):
+        # int() would make [3.7, 2.2] blocks of 3 and 2, and ["3", True] blocks of 3 and 1
+        with pytest.raises(ValueError, match=r"^block sizes must be positive integers, got \["):
+            sbm(sizes, 0.9, 0.1, 0)
+        assert sbm(np.array([3, 2]), 0.9, 0.1, 0)[0].n == 5  # numpy integers are integers
 
     def test_within_block_pairs_all_present_at_p_in_one(self):
         g, labels = sbm([5, 1, 7], 1.0, 0.3, 4)

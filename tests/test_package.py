@@ -79,3 +79,11 @@ def test_only_graph_names_scipys_private_kernels():
     # scipy's private kernel module is an implementation detail of one helper
     users = sorted(p.name for p in (ROOT / "src" / "pottscluster").glob("*.py") if "_sparsetools" in p.read_text())
     assert users == ["graph.py"]
+
+
+def test_only_dataset_reads_files():
+    # the program's file formats, its JSON files among them, are read in one module
+    reads = ("read_text(", "read_bytes(", "open(", "json.load(", "json.loads(")
+    readers = sorted(p.name for p in (ROOT / "src" / "pottscluster").glob("*.py")
+                     if any(call in p.read_text() for call in reads))
+    assert readers == ["dataset.py"]
