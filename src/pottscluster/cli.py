@@ -81,7 +81,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    sweep = run_seeds(g, x, config, args.seeds, labels)
+    try:
+        sweep = run_seeds(g, x, config, args.seeds, labels)
+    except MemoryError:  # a usage error, as in gen: the sizes asked for do not fit
+        raise ValueError(f"out of memory training hidden={config.hidden}, k={config.k}"
+                         f" on n={g.n} nodes with num_features={x.shape[1]}") from None
     for run in sweep.runs:
         _log(f"seed {run.seed}: total={run.trace.records[-1].total:.6f} gamma={run.trace.gamma_final:.4f}")
 

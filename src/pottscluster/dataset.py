@@ -249,9 +249,22 @@ def feature_matrix(x: np.ndarray | sp.spmatrix, n: int) -> sp.csr_matrix:
 
 
 def read_json_object(path: str | os.PathLike, name: str, error: type[ValueError] = ValueError) -> dict:
-    """The JSON object the UTF-8 file ``path`` holds, or ``error`` naming the file as ``name``."""
+    """The JSON object the UTF-8 file ``path`` holds, or ``error`` naming the file as ``name``.
+
+    An object at any depth that repeats a key is refused, naming the key,
+    where json would keep the last value.
+    """
+
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{name}: repeated key {json.dumps(key)}")
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the parser's depth
         raise error(f"{name}: invalid JSON ({exc})") from exc
     except (OSError, UnicodeDecodeError) as exc:

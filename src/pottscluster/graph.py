@@ -40,8 +40,8 @@ class Graph:
     adj: sp.csr_matrix
 
     @cached_property
-    def float_degrees(self) -> np.ndarray:  # ``degrees`` as float64, converted once
-        degrees = self.degrees.astype(np.float64)
+    def float_degrees(self) -> np.ndarray:  # ``degrees`` in ``adj``'s float dtype, converted once
+        degrees = self.degrees.astype(self.adj.dtype)
         degrees.flags.writeable = False
         return degrees
 
@@ -113,18 +113,25 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((values, g.col_idx, g.row_ptr), shape=(g.n, g.n))
 
 
+def float_array(x) -> np.ndarray:
+    """``x`` as an array in its own float dtype, or as float64 if it holds no floats."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
 def matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``a @ x`` into ``out`` and return it, bit for bit what ``a @ x`` gives.
 
-    A float64 CSR or CSC ``a`` runs scipy's multi-vector kernel, for any
-    column count, on the zeroed ``out``; any other operand is computed as
-    ``a @ x`` and copied.
+    A CSR or CSC ``a`` whose values share one float dtype, float32 or
+    float64, with ``x`` and ``out`` runs scipy's multi-vector kernel in that
+    dtype, for any column count, on the zeroed ``out``; any other operand
+    is computed as ``a @ x`` and copied.
     """
     m, n = a.shape
     if x.ndim != 2 or x.shape[0] != n or out.shape != (m, x.shape[1]) or np.may_share_memory(x, out):
         raise ValueError(f"cannot write {a.shape} @ {x.shape} into {out.shape}: need x ({n}, k), out ({m}, k), apart from x")
     kernel = _MATVECS.get(a.format) if sp.issparse(a) else None
-    if kernel is None or not (out.flags.c_contiguous and a.dtype == x.dtype == out.dtype == np.float64):
+    if kernel is None or not (out.flags.c_contiguous and a.dtype == x.dtype == out.dtype in (np.float32, np.float64)):
         out[...] = a @ x
         return out
     out.fill(0.0)
@@ -137,11 +144,15 @@ def spmm(a: sp.spmatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
     scipy's CSR kernel accumulates each row sequentially in stored order,
     which is ascending column index for the graph's matrices, so results
-    are deterministic. The product goes into ``out`` when given and into a
-    new array otherwise; matmul_into checks the operands.
+    are deterministic. The product goes into ``out`` when given and
+    otherwise into a new array of the operands' result dtype, float32 for
+    float32 operands; matmul_into checks the operands. An ``x`` without
+    floats is taken as float64.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return matmul_into(a, x, np.empty(a.shape[:1] + x.shape[1:]) if out is None else out)
+    x = float_array(x)
+    if out is None:
+        out = np.empty(a.shape[:1] + x.shape[1:], dtype=np.result_type(a.dtype, x.dtype))
+    return matmul_into(a, x, out)
 
 
 def ring_of_cliques(c: int, s: int) -> tuple[Graph, np.ndarray]:

@@ -9,14 +9,16 @@ than a tape.
 
 Both passes write into a ForwardCache's buffers, so reusing one cache, as
 the trainer does, allocates nothing (n, h)-sized; every product is bit
-for bit what ``a @ b`` gives, so no float changes.
+for bit what ``a @ b`` gives, so no float changes. Every function computes
+in its inputs' float dtype: float32 for the trainer's arrays, float64 for
+float64 ones.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import matmul_into, spmm
+from .graph import float_array, matmul_into, spmm
 
 __all__ = [
     "SELU_LAMBDA",
@@ -37,13 +39,13 @@ SELU_ALPHA = 1.6732632423543772
 class ModelParams:
     """Encoder weights plus the trainable resolution scalar gamma, in one vector.
 
-    ``flat`` is a float64 vector holding w_in (l, 2h), then w_out (h, k),
-    each row-major, then gamma as its last entry. Row i of w_in is
-    [w[i] | w_skip[i]], so w and w_skip (l, h) are its column halves. All
-    matrices are views into ``flat``, so writing either one writes the
-    other. A new instance is all zeros; gamma >= 0 is kept by clamping after
-    updates. A gradient has the same layout, with dL/dgamma in the last
-    entry.
+    ``flat`` is a vector of ``dtype``, float64 unless given, holding w_in
+    (l, 2h), then w_out (h, k), each row-major, then gamma as its last
+    entry. Row i of w_in is [w[i] | w_skip[i]], so w and w_skip (l, h) are
+    its column halves. All matrices are views into ``flat``, so writing
+    either one writes the other. A new instance is all zeros; gamma >= 0 is
+    kept by clamping after updates. A gradient has the same layout, with
+    dL/dgamma in the last entry.
     """
 
     @staticmethod
@@ -51,8 +53,8 @@ class ModelParams:
         """Length of ``flat`` for l features, h hidden units and k clusters."""
         return 2 * l * h + h * k + 1
 
-    def __init__(self, l: int, h: int, k: int):
-        self.flat = np.zeros(self.size(l, h, k))
+    def __init__(self, l: int, h: int, k: int, dtype=np.float64):
+        self.flat = np.zeros(self.size(l, h, k), dtype)
         self.w_in = self.flat[: 2 * l * h].reshape(l, 2 * h)
         self.w = self.w_in[:, :h]
         self.w_skip = self.w_in[:, h:]
@@ -62,37 +64,52 @@ class ModelParams:
     def gamma(self) -> float:
         return float(self.flat[-1])
 
+    @gamma.setter
+    def gamma(self, value: float) -> None:
+        # rounded toward zero, so a gamma in [0, gamma_max] stays there in float32 too
+        self.flat[-1] = value
+        if abs(self.gamma) > abs(value):
+            self.flat[-1] = np.nextafter(self.flat[-1], 0)
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy in ``dtype``: the weights rounded to nearest, gamma by the setter."""
+        (l, h), k = self.w.shape, self.w_out.shape[1]
+        params = ModelParams(l, h, k, dtype)
+        params.flat[:-1] = self.flat[:-1]
+        params.gamma = self.gamma
+        return params
+
 
 class ForwardCache:
     """Buffers forward() fills and the matching backward() reuses, for one model shape.
 
     forward() overwrites all of them and backward() all but ``c``, so ``c``
     and backward()'s result ``grad`` last until the next call on the cache.
-    Buffers hold several intermediates in turn: four (n, h) arrays in all.
-    forward() also binds the operators backward() reads: ``abar``, ``x_t``
-    and ``w_out``.
+    Buffers, in the parameters' dtype, hold several intermediates in turn:
+    four (n, h) arrays in all. forward() also binds the operators
+    backward() reads: ``abar``, ``x_t`` and ``w_out``.
     """
 
     def __init__(self, n: int, params: ModelParams):
-        (l, h), k = params.w.shape, params.w_out.shape[1]
+        (l, h), k, dtype = params.w.shape, params.w_out.shape[1], params.flat.dtype
         # X W_in, then (as ``spare``, two C-contiguous halves) scratch for
         # SeLU and its derivative, and last [Abar dH_pre | dH_pre]
-        self.xw = np.empty((n, 2 * h))
+        self.xw = np.empty((n, 2 * h), dtype)
         self.spare = self.xw.reshape(2, n, h)
-        self.h_pre = np.empty((n, h))  # pre-activation; Abar dH_pre in backward
-        self.h = np.empty((n, h))  # X W made contiguous, then SeLU(h_pre); dH, dH_pre in backward
-        self.logits, self.c = np.empty((n, k)), np.empty((n, k))  # logits: dL/dlogits in backward
-        self.row = np.empty((n, 1))  # per-row reductions
-        self.grad = ModelParams(l, h, k)
+        self.h_pre = np.empty((n, h), dtype)  # pre-activation; Abar dH_pre in backward
+        self.h = np.empty((n, h), dtype)  # X W made contiguous, then SeLU(h_pre); dH, dH_pre in backward
+        self.logits, self.c = np.empty((n, k), dtype), np.empty((n, k), dtype)  # logits: dL/dlogits in backward
+        self.row = np.empty((n, 1), dtype)  # per-row reductions
+        self.grad = ModelParams(l, h, k, dtype)
 
 
 def selu(x, out=None, scratch=None):
     """SeLU activation, elementwise: lambda*x for x>0, lambda*alpha*(e^x - 1) otherwise.
 
-    ``out`` and ``scratch``, float64 arrays shaped like x, take the result
-    and an intermediate when given.
+    ``out`` and ``scratch``, arrays of x's dtype shaped like x, take the
+    result and an intermediate when given.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     # the other side adds +0 (or -0 to -0): the branch's value bit for bit, without np.where
     neg = np.expm1(np.minimum(x, 0.0, out=scratch), out=scratch)
     neg *= SELU_LAMBDA * SELU_ALPHA
@@ -104,9 +121,10 @@ def selu(x, out=None, scratch=None):
 
 def selu_grad(x, out=None, scratch=None):
     """Derivative of selu: lambda for x>0, lambda*alpha*e^x for x<=0; ``out``/``scratch`` as in selu."""
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     # at x > 0 the exponential is 1, and lambda*alpha + (lambda - lambda*alpha) is
-    # lambda exactly for these constants (a test pins it); elsewhere it adds +0
+    # lambda exactly in float64 for these constants (a test pins it), and one ulp
+    # below it in float32; elsewhere it adds +0
     out = np.exp(np.minimum(x, 0.0, out=out), out=out)
     out *= SELU_LAMBDA * SELU_ALPHA
     pos = np.greater(x, 0.0, out=scratch)
@@ -116,7 +134,7 @@ def selu_grad(x, out=None, scratch=None):
 
 def softmax_rows(logits: np.ndarray, out=None, row=None) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's maximum; fills ``out`` and ``row`` (n, 1) if given."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = float_array(logits)
     row = np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
     out = np.subtract(logits, row, out=out)
     np.exp(out, out=out)
@@ -162,7 +180,7 @@ def backward(cache: ForwardCache, d_c: np.ndarray, d_gamma: float) -> ModelParam
     next backward() on this cache overwrites. gamma does not enter the
     forward pass, so its gradient passes through.
     """
-    d_c = np.asarray(d_c, dtype=np.float64)
+    d_c = float_array(d_c)
     if d_c.shape != cache.c.shape:
         raise ValueError(f"upstream gradient shape {d_c.shape} does not match C {cache.c.shape}")
     grad, h = cache.grad, cache.h_pre.shape[1]

@@ -10,6 +10,11 @@ Optimization is plain Adam over one vector holding the three weight
 matrices and the scalar resolution gamma, which is clamped to
 [0, gamma_max] after each step.
 
+Training computes in one dtype, DTYPE (float32): ``train`` converts the
+features, Abar, the unit adjacency and degrees the objective reads, and
+the float64 initial draw once, and every buffer and kernel of an epoch is
+then float32. The random streams draw in float64 as before, so every
+dropout mask and initial weight is the float64 one, rounded.
 Every epoch writes into buffers made once per ``train`` call (a
 ForwardCache, dL/dC, Adam's and dropout's scratch), with the operations,
 order and kernels of allocating code, so no float depends on them.
@@ -49,7 +54,8 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 32768  # entries per adam_step pass: 256 KB rows, so a block stays in cache
+ADAM_BLOCK = 32768  # entries per adam_step pass: 128 KB float32 rows, so a block stays in cache
+DTYPE = np.float32  # the one training dtype: every objective term is a sum of bounded products
 
 
 # accepted value types per TrainConfig annotation; bool is rejected separately
@@ -169,8 +175,9 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        size = params.flat.size
-        return cls(m=np.zeros(size), v=np.zeros(size), scratch=np.empty((2, min(size, ADAM_BLOCK))))
+        size, dtype = params.flat.size, params.flat.dtype
+        scratch = np.empty((2, min(size, ADAM_BLOCK)), dtype)
+        return cls(m=np.zeros(size, dtype), v=np.zeros(size, dtype), scratch=scratch)
 
 
 def init_params(num_features: int, config: TrainConfig) -> ModelParams:
@@ -219,7 +226,7 @@ def adam_step(
         step *= learning_rate
         step /= denom
         p -= step
-    params.flat[-1] = min(max(params.flat[-1], 0.0), gamma_max)
+    params.gamma = min(max(params.gamma, 0.0), gamma_max)
 
 
 class FeatureDropout:
@@ -259,11 +266,17 @@ class FeatureDropout:
         return self.dropped
 
 
+def _values_as(a: sp.csr_matrix, dtype) -> sp.csr_matrix:
+    """``a`` with its stored values cast to ``dtype``, sharing its index arrays."""
+    return sp.csr_matrix((a.data.astype(dtype), a.indices, a.indptr), shape=a.shape)
+
+
 def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrace:
     """Train the encoder on (g, x) and return the epoch trace.
 
-    ``x`` is dense or scipy sparse; training works on a float64 CSR copy,
-    so the caller's matrix is never modified. Record 0 holds the eval-mode
+    ``x`` is dense or scipy sparse; training works on a DTYPE CSR copy,
+    so the caller's matrix is never modified, and a value past DTYPE's
+    range becomes +-inf there and diverges. Record 0 holds the eval-mode
     loss of the freshly initialized model. Record e (1-based) holds the
     training-mode loss the optimizer saw at epoch e, together with gamma as
     it stands after that epoch's update, so the trace has epochs + 1
@@ -271,12 +284,15 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
     """
     x = feature_matrix(x, g.n)
     abar = normalized_adjacency(g)
-    params = init_params(x.shape[1], config)
-    state = AdamState.zeros(params)
-    dropout = FeatureDropout(x, config.dropout_keep, [config.seed, 1])
-
-    # a diverging run overflows to inf and nan; the check on each total reports it
+    # a diverging run overflows to inf and nan, as a feature past DTYPE's range
+    # does in its cast; the check on each total reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        x, abar = _values_as(x, DTYPE), _values_as(abar, DTYPE)
+        g = dataclasses.replace(g, adj=_values_as(g.adj, DTYPE))  # the objective reads adj and float_degrees
+        params = init_params(x.shape[1], config).astype(DTYPE)
+        state = AdamState.zeros(params)
+        dropout = FeatureDropout(x, config.dropout_keep, [config.seed, 1])
+
         c, cache = forward(abar, x, params)
         objective_kw = {key: getattr(config, key) for key in ("w_collapse", "w_gamma", "gamma_max")}
         objective_kw["out"] = np.empty_like(c)

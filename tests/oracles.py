@@ -288,10 +288,11 @@ def hard_c(labels, k: int) -> np.ndarray:
 # ---- the allocating epoch ------------------------------------------------
 # forward, backward, the objective and the Adam step as they were written
 # before the package wrote into per-train buffers: every intermediate is a
-# new array and every sparse product is scipy's ``@``. The in-place
-# versions must reproduce them bit for bit. Signatures match the package's,
-# so each can be monkeypatched into the trainer; ``cache`` and ``out`` are
-# accepted and ignored.
+# new array and every sparse product is scipy's ``@``. Each computes in its
+# inputs' float dtype, as the package does, and the in-place versions must
+# reproduce them bit for bit in float32 and in float64. Signatures match the
+# package's, so each can be monkeypatched into the trainer; ``cache`` and
+# ``out`` are accepted and ignored.
 
 
 def reference_forward(abar, x, params, x_t=None, cache=None):
@@ -313,12 +314,12 @@ def reference_forward(abar, x, params, x_t=None, cache=None):
 def reference_backward(cache, d_c, d_gamma):
     inner = (d_c * cache.c).sum(axis=1, keepdims=True)
     d_logits = cache.c * (d_c - inner)
-    grad = ModelParams(cache.x_t.shape[0], *cache.w_out.shape)
+    grad = ModelParams(cache.x_t.shape[0], *cache.w_out.shape, cache.w_out.dtype)
     np.matmul(cache.h.T, d_logits, out=grad.w_out)
     d_h = d_logits @ cache.w_out.T
     x = cache.h_pre
     d = SELU_LAMBDA * SELU_ALPHA * np.exp(np.minimum(x, 0.0))
-    d += (x > 0) * (SELU_LAMBDA - SELU_LAMBDA * SELU_ALPHA)
+    d += (x > 0).astype(x.dtype) * (SELU_LAMBDA - SELU_LAMBDA * SELU_ALPHA)
     d_h_pre = d_h * d
     grad.w_in[...] = cache.x_t @ np.concatenate((cache.abar @ d_h_pre, d_h_pre), axis=1)
     grad.flat[-1] = d_gamma
@@ -327,7 +328,7 @@ def reference_backward(cache, d_c, d_gamma):
 
 def reference_objective(g, c, gamma, kind, *, w_collapse, w_gamma, gamma_max, out=None):
     ac = g.adj @ c
-    deg = g.degrees.astype(np.float64)
+    deg = g.degrees.astype(c.dtype)
     two_m = 2.0 * g.m
     g_term = d_gamma = 0.0
     if kind == "mincut_ortho":

@@ -81,6 +81,7 @@ class TestLoadDataset:
             ('{"n": 0, "num_features": 1, "num_classes": 1}', "positive"),
             ('{"n": 2, "num_features": 0, "num_classes": 1}', "positive"),
             ('{"n": 2, "num_features": 1, "num_classes": -1}', "non-negative"),
+            ('{"n": 2, "num_features": 1, "num_classes": 1, "x": {"a": 1, "a": 2}}', 'meta.json: repeated key "a"'),
         ],
     )
     def test_meta_errors(self, tmp_path, meta, msg):
@@ -787,6 +788,13 @@ class TestCliTrain:
                        " one feature's weights exceed the address space\n")
         assert not out.exists()
 
+    def test_out_of_memory_in_training_exits_2(self, tmp_path, ring_dataset, capsys):
+        # the checks pass, and init_params's 272 PiB of weights, past any address space, fail to allocate at once
+        cfg = write_config(tmp_path, hidden=2**50, epochs=2)
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (f"error: out of memory training hidden={2**50}, k=16"
+                                           " on n=9 nodes with num_features=9\n")
+
     @pytest.mark.parametrize(
         "extra, msg",
         [
@@ -794,12 +802,14 @@ class TestCliTrain:
             (["--config", "{tmp}"], "cannot read config file {tmp}"),
             (["--config", "{tmp}/list.json"], "config file {tmp}/list.json must hold a JSON object"),
             (["--config", "{tmp}/latin1.json"], "cannot read config file {tmp}/latin1.json: 'utf-8' codec"),
+            (["--config", "{tmp}/repeat.json"], 'config file {tmp}/repeat.json: repeated key "epochs"\n'),
         ],
-        ids=["seeds-0", "config-is-a-directory", "config-holds-a-list", "config-not-utf8"],
+        ids=["seeds-0", "config-is-a-directory", "config-holds-a-list", "config-not-utf8", "config-repeats-a-key"],
     )
     def test_bad_argument_exits_2_before_out_is_made(self, tmp_path, ring_dataset, capsys, extra, msg):
         (tmp_path / "list.json").write_text("[1]\n")
         (tmp_path / "latin1.json").write_bytes(b'{"k": 4}\xff')
+        (tmp_path / "repeat.json").write_text('{"epochs": 3, "epochs": 2}')
         out = tmp_path / "o"
         extra = [a.format(tmp=tmp_path) for a in extra]
         assert run_cli("train", "--data", str(ring_dataset), "--out", str(out), *extra) == 2
@@ -869,8 +879,9 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert "out of memory loading the dataset (n=9 nodes)" in err and "Traceback" not in err
         monkeypatch.setattr(trainer, "adam_step", out_of_memory)  # training's memory is not the dataset's
-        with pytest.raises(MemoryError):
-            run_cli("train", "--data", str(ring_dataset), "--out", str(tmp_path / "o"))
+        assert run_cli("train", "--data", str(ring_dataset), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory training hidden=64, k=16 on n=9 nodes with num_features=9\n"
 
     def test_unsizable_weights_exit_3_before_out_is_made(self, tmp_path, capsys):
         # 2 * 2**62 * 64 weights: numpy refuses to size them before it allocates

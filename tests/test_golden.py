@@ -9,10 +9,18 @@ relative, because the bits hold only per BLAS build and thread count. A
 change that moves outputs on purpose rewrites the copies, and says so, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, per loss kind, whether ``assignment.tsv`` changed and the
+largest absolute and relative change of any number in ``trace.csv`` and
+``metrics.json`` against the copies it replaces.
+
+Training runs in float32; the same runs in float64 must give the same
+``assignment.tsv`` and every number within TOLERANCE.
 """
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -20,11 +28,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pottscluster import LOSS_KINDS, adjacency_features, ring_of_cliques, save_dataset
+from pottscluster import LOSS_KINDS, adjacency_features, ring_of_cliques, save_dataset, trainer
 from pottscluster.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-12
+TOLERANCE = 1e-5  # declared agreement of float32 training with float64, absolute, per number
 DATA_FILES = ("meta.json", "edges.tsv", "features.tsv", "labels.tsv")
 
 
@@ -58,6 +67,30 @@ def leaves(obj, path=()):
         yield path, obj
 
 
+def numbers(out: Path) -> dict:
+    """Every number in ``out``'s trace.csv and metrics.json, keyed by file and position."""
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    found = {("trace.csv", i, name): float(value)
+             for i, row in enumerate(rows) for name, value in zip(header.split(","), row.split(","))}
+    for path, value in leaves(json.loads((out / "metrics.json").read_text())):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            found[("metrics.json", *path)] = float(value)
+    return found
+
+
+def changes(old: Path, new: Path) -> str:
+    """Whether assignment.tsv differs between two --out directories, and the largest change of any number."""
+    moved = (old / "assignment.tsv").read_bytes() != (new / "assignment.tsv").read_bytes()
+    before, after = numbers(old), numbers(new)
+    if before.keys() != after.keys():
+        return f"assignment.tsv {'changed' if moved else 'unchanged'}; the numbers' layout changed"
+    diffs = [(abs(after[key] - before[key]), abs(before[key])) for key in before if after[key] != before[key]]
+    largest = max((d for d, _ in diffs), default=0.0)
+    relative = max((d / old if old else math.inf for d, old in diffs), default=0.0)
+    return (f"assignment.tsv {'changed' if moved else 'unchanged'}; largest change of a number in trace.csv"
+            f" and metrics.json: {largest:.3g} absolute, {relative:.3g} relative")
+
+
 def test_saved_dataset_matches_golden(tmp_path):
     data = saved_dataset(tmp_path)
     for name in DATA_FILES:
@@ -84,6 +117,19 @@ def test_train_outputs_match_golden(tmp_path, loss):
             assert value == golden, path
 
 
+@pytest.mark.parametrize("loss", LOSS_KINDS)
+def test_float32_training_agrees_with_float64(tmp_path, monkeypatch, loss):
+    assert trainer.DTYPE is np.float32
+    shipped = train_outputs(tmp_path / "float32", loss)
+    monkeypatch.setattr(trainer, "DTYPE", np.float64)
+    wide = train_outputs(tmp_path / "float64", loss)
+    assert (shipped / "assignment.tsv").read_bytes() == (wide / "assignment.tsv").read_bytes()
+    got, want = numbers(shipped), numbers(wide)
+    assert got.keys() == want.keys()
+    worst = max(want, key=lambda key: abs(got[key] - want[key]))
+    assert abs(got[worst] - want[worst]) <= TOLERANCE, worst
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         data = saved_dataset(Path(tmp))
@@ -92,6 +138,7 @@ if __name__ == "__main__":
             shutil.copyfile(data / name, GOLDEN / "data" / name)
         for kind in LOSS_KINDS:
             out = train_outputs(Path(tmp), kind)
+            print(f"{kind}: {changes(GOLDEN / kind, out) if (GOLDEN / kind).exists() else 'new copies'}")
             (GOLDEN / kind).mkdir(parents=True, exist_ok=True)
             for name in ("trace.csv", "assignment.tsv", "metrics.json"):
                 shutil.copyfile(out / name, GOLDEN / kind / name)

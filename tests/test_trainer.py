@@ -564,6 +564,51 @@ def test_one_hidden_unit_equals_allocating_reference(monkeypatch):
     assert np.array_equal(ours.final_params.flat, reference.final_params.flat)
 
 
+def float_dtypes(obj):
+    """The dtype of every float array in ``obj``, through tuples, lists, dicts and the package's objects."""
+    if isinstance(obj, np.ndarray) or sp.issparse(obj):
+        if obj.dtype.kind == "f":
+            yield obj.dtype
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from float_dtypes(item)
+    elif isinstance(obj, dict):
+        yield from float_dtypes(list(obj.values()))
+    elif hasattr(obj, "__dict__"):  # ModelParams, ForwardCache, AdamState, Graph (its cached float_degrees too)
+        yield from float_dtypes(list(vars(obj).values()))
+
+
+@pytest.mark.parametrize("loss", ["potts", "dmon", "mincut_ortho"])
+def test_every_array_of_an_epoch_is_float32(monkeypatch, loss):
+    g, x = small_csbm()
+    seen = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            seen.extend(float_dtypes((args, kwargs)))
+            result = fn(*args, **kwargs)
+            seen.extend(float_dtypes(result))
+            return result
+
+        return wrapper
+
+    for name in ("forward", "evaluate_objective", "backward", "adam_step"):
+        monkeypatch.setattr(trainer, name, spy(getattr(trainer, name)))
+    trace = train(g, x, TrainConfig(seed=4, k=4, hidden=6, epochs=5, dropout_keep=0.5, loss=loss))
+    assert len(seen) > 100 and set(seen) == {np.dtype(np.float32)}
+    assert trace.final_params.flat.dtype == trace.final_assignment.dtype == np.float32
+
+
+def test_float32_gamma_stays_inside_its_bounds(k4_setup):
+    # 0.1 rounds up to float32 0.10000000149; the initial cast and the clamp round toward zero instead
+    g, x, _ = k4_setup
+    below = float(np.nextafter(np.float32(0.1), 0))
+    trace = train(g, x, TrainConfig(epochs=30, gamma_init=0.1, gamma_max=0.1, w_gamma=1.0))
+    assert trace.records[0].gamma == below
+    assert all(0.0 <= r.gamma <= 0.1 for r in trace.records)
+    assert max(r.gamma for r in trace.records[1:]) == below  # w_gamma 1 pushes gamma into the clamp
+
+
 def test_epoch_allocates_nothing_layer_sized(monkeypatch):
     # after the first epoch, the transient peak of an epoch stays below one (n, h) array;
     # allocating every intermediate afresh peaks near six of them
