@@ -13,13 +13,12 @@ diverged. Set POTTSCLUSTER_VERBOSE=1 for progress messages on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .dataset import (
     DatasetFormatError,
@@ -33,7 +32,6 @@ from .dataset import (
 )
 from .graph import ring_of_cliques, sbm
 from .metrics import evaluate_partition, hard_assign
-from .model import ModelParams
 from .trainer import EpochRecord, TrainConfig, TrainDivergedError, run_seeds
 
 __all__ = ["main"]
@@ -75,17 +73,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"--seeds must be positive, got {args.seeds}")
     g, x, labels = _load_graph_dataset(args.data)
     _log(f"loaded {args.data}: n={g.n}, m={g.m}, features={x.shape[1]}")
-    if ModelParams.size(x.shape[1], config.hidden, config.k) * np.dtype(np.float64).itemsize > sys.maxsize:
+    if not config.weights_fit(x.shape[1]):
         raise DatasetFormatError(f"num_features={x.shape[1]} is too large: the weights exceed the address space")
     # fail on an unusable --out before training, not after it
     out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
 
     try:
         sweep = run_seeds(g, x, config, args.seeds, labels)
-    except MemoryError:  # a usage error, as in gen: the sizes asked for do not fit
-        raise ValueError(f"out of memory training hidden={config.hidden}, k={config.k}"
-                         f" on n={g.n} nodes with num_features={x.shape[1]}") from None
+    except BaseException as exc:  # a failed run leaves no directory it made, and rmdir removes only empty ones
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        if isinstance(exc, MemoryError):  # a usage error, as in gen: the sizes asked for do not fit
+            raise ValueError(f"out of memory training hidden={config.hidden}, k={config.k}"
+                             f" on n={g.n} nodes with num_features={x.shape[1]}") from None
+        raise
     for run in sweep.runs:
         _log(f"seed {run.seed}: total={run.trace.records[-1].total:.6f} gamma={run.trace.gamma_final:.4f}")
 

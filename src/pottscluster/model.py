@@ -69,15 +69,8 @@ class ModelParams:
         # rounded toward zero, so a gamma in [0, gamma_max] stays there in float32 too
         self.flat[-1] = value
         if abs(self.gamma) > abs(value):
-            self.flat[-1] = np.nextafter(self.flat[-1], 0)
-
-    def astype(self, dtype) -> "ModelParams":
-        """A copy in ``dtype``: the weights rounded to nearest, gamma by the setter."""
-        (l, h), k = self.w.shape, self.w_out.shape[1]
-        params = ModelParams(l, h, k, dtype)
-        params.flat[:-1] = self.flat[:-1]
-        params.gamma = self.gamma
-        return params
+            # a zero of flat's dtype: numpy 1.x promotes a float32 scalar and a Python 0 to float64
+            self.flat[-1] = np.nextafter(self.flat[-1], self.flat.dtype.type(0))
 
 
 class ForwardCache:

@@ -11,10 +11,10 @@ matrices and the scalar resolution gamma, which is clamped to
 [0, gamma_max] after each step.
 
 Training computes in one dtype, DTYPE (float32): ``train`` converts the
-features, Abar, the unit adjacency and degrees the objective reads, and
-the float64 initial draw once, and every buffer and kernel of an epoch is
-then float32. The random streams draw in float64 as before, so every
-dropout mask and initial weight is the float64 one, rounded.
+features, Abar, the unit adjacency and degrees the objective reads once,
+``init_params`` stores its weights in DTYPE, and every buffer and kernel
+of an epoch is float32. The random streams draw in float64 as before, so
+every dropout mask and initial weight is the float64 one, rounded.
 Every epoch writes into buffers made once per ``train`` call (a
 ForwardCache, dL/dC, Adam's and dropout's scratch), with the operations,
 order and kernels of allocating code, so no float depends on them.
@@ -92,7 +92,7 @@ class TrainConfig:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be positive, got {self.hidden}")
-        if ModelParams.size(1, self.hidden, self.k) * np.dtype(np.float64).itemsize > sys.maxsize:
+        if not self.weights_fit(1):
             raise ValueError(f"hidden={self.hidden} and k={self.k} are too large: one feature's weights exceed the address space")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
@@ -115,6 +115,10 @@ class TrainConfig:
                 f"loss 'dmon' fixes gamma at {DMON_GAMMA}, outside [0, gamma_max={self.gamma_max}];"
                 f" set gamma_max to at least {DMON_GAMMA}"
             )
+
+    def weights_fit(self, num_features: int) -> bool:
+        """Whether the DTYPE weights for ``num_features`` features fit in the address space."""
+        return ModelParams.size(num_features, self.hidden, self.k) * np.dtype(DTYPE).itemsize <= sys.maxsize
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "TrainConfig":
@@ -181,17 +185,18 @@ class AdamState:
 
 
 def init_params(num_features: int, config: TrainConfig) -> ModelParams:
-    """LeCun-normal weights and the starting gamma.
+    """LeCun-normal DTYPE weights and the starting gamma.
 
     w, w_skip and w_out get standard normals, drawn in that order, times
     1/sqrt(fan_in) (l, l and h): the variance SeLU's self-normalizing
     argument assumes, which keeps the softmax unsaturated at epoch 0.
+    Each float64 draw is rounded to DTYPE as it is stored, gamma toward zero.
     """
     rng = np.random.default_rng(config.seed)
-    params = ModelParams(num_features, config.hidden, config.k)
+    params = ModelParams(num_features, config.hidden, config.k, DTYPE)
     for view in (params.w, params.w_skip, params.w_out):
         view[...] = rng.standard_normal(view.shape) / math.sqrt(view.shape[0])
-    params.flat[-1] = DMON_GAMMA if config.loss == "dmon" else config.gamma_init
+    params.gamma = DMON_GAMMA if config.loss == "dmon" else config.gamma_init
     return params
 
 
@@ -289,7 +294,7 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
     with np.errstate(over="ignore", invalid="ignore"):
         x, abar = _values_as(x, DTYPE), _values_as(abar, DTYPE)
         g = dataclasses.replace(g, adj=_values_as(g.adj, DTYPE))  # the objective reads adj and float_degrees
-        params = init_params(x.shape[1], config).astype(DTYPE)
+        params = init_params(x.shape[1], config)
         state = AdamState.zeros(params)
         dropout = FeatureDropout(x, config.dropout_keep, [config.seed, 1])
 

@@ -789,11 +789,31 @@ class TestCliTrain:
         assert not out.exists()
 
     def test_out_of_memory_in_training_exits_2(self, tmp_path, ring_dataset, capsys):
-        # the checks pass, and init_params's 272 PiB of weights, past any address space, fail to allocate at once
+        # the checks pass, and init_params's 136 PiB of float32 weights, past any address space, fail to allocate at once
         cfg = write_config(tmp_path, hidden=2**50, epochs=2)
         assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err == (f"error: out of memory training hidden={2**50}, k=16"
                                            " on n=9 nodes with num_features=9\n")
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [({"hidden": 2**50, "epochs": 2}, 2), ({"learning_rate": 1e300, "epochs": 5, "k": 4}, 4)],
+        ids=["out-of-memory", "diverged"],
+    )
+    def test_failed_training_removes_only_the_directories_it_made(self, tmp_path, ring_dataset, capsys,
+                                                                   overrides, code):
+        cfg = write_config(tmp_path, **overrides)
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "notes.txt").write_text("mine\n")
+        for out in ("o", "a/b/out", "empty/out", "empty", "kept"):
+            assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg),
+                           "--out", str(tmp_path / out)) == code
+            assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
+        assert list((tmp_path / "empty").iterdir()) == []
+        assert list((tmp_path / "kept").iterdir()) == [tmp_path / "kept" / "notes.txt"]
+        assert (tmp_path / "kept" / "notes.txt").read_text() == "mine\n"
 
     @pytest.mark.parametrize(
         "extra, msg",
@@ -892,6 +912,7 @@ class TestCliTrain:
         assert run_cli("train", "--data", str(root), "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert f"num_features={2**62} is too large" in err and "Traceback" not in err
+        assert err == f"error: num_features={2**62} is too large: the weights exceed the address space\n"
         assert not out.exists()
 
     def test_non_utf8_features_exits_3(self, tmp_path, ring_dataset, capsys):

@@ -72,6 +72,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    def test_size_rule_counts_dtype_bytes(self):
+        # one feature's weights at hidden 2**56 and k 16 are 18 * 2**56 + 1 entries:
+        # 2**62.2 bytes in float32, past sys.maxsize in float64; nothing is allocated
+        tracemalloc.start()
+        try:
+            assert TrainConfig(hidden=2**56).hidden == 2**56
+            with pytest.raises(ValueError, match=f"^hidden={2**57} and k=16 are too large:"
+                                                 " one feature's weights exceed the address space$"):
+                TrainConfig(hidden=2**57)
+            assert TrainConfig().weights_fit(2**53)  # 2**60 + 1025 weights: 2**62 + 4100 bytes in float32
+            assert not TrainConfig().weights_fit(2**54)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_dmon_accepts_gamma_max_of_one(self):
         # dmon records gamma 1, which must lie inside the clamp [0, gamma_max]
         assert TrainConfig(loss="dmon", gamma_max=1.0, gamma_init=0.2).gamma_max == 1.0
@@ -116,10 +132,24 @@ class TestInitParams:
             assert 0.9 < view.var() * fan_in < 1.1
 
     def test_draws_in_order_scaled_by_fan_in(self):
+        # each float64 draw is rounded to nearest as it is stored in the DTYPE vector
         p = init_params(7, TrainConfig(seed=3, hidden=5, k=4))
         rng = np.random.default_rng(3)
         for view, fan_in in ((p.w, 7), (p.w_skip, 7), (p.w_out, 5)):
-            assert np.array_equal(view, rng.standard_normal(view.shape) / math.sqrt(fan_in))
+            expected = (rng.standard_normal(view.shape) / math.sqrt(fan_in)).astype(trainer.DTYPE)
+            assert view.dtype == trainer.DTYPE and view.tobytes() == expected.tobytes()
+
+    def test_allocates_one_dtype_vector(self):
+        # at csbm-cora's shape: the float32 vector (0.74 MB) and one float64 draw
+        # (0.73 MB) at a time; a float64 vector cast afterwards peaked at 2.21 MB
+        tracemalloc.start()
+        try:
+            p = init_params(1433, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.flat.dtype == trainer.DTYPE
+        assert peak < 1.6e6
 
     def test_shapes(self):
         p = init_params(7, TrainConfig(k=5, hidden=9))
@@ -160,6 +190,16 @@ class TestModelParams:
         assert np.all(p.flat[24:32] == -1.0)
         p.w_skip[...] = -2.0
         assert np.all(p.flat[:24].reshape(3, 8)[:, 4:] == -2.0)
+
+    @pytest.mark.parametrize("gamma", [0, 0.1, 1 / 3, 2.5, 5.0, 1e39])
+    def test_float32_gamma_is_the_largest_float32_not_above_it(self, gamma):
+        p = ModelParams(1, 1, 2, np.float32)
+        with np.errstate(over="ignore"):  # 1e39 rounds to inf, and the float32 above the largest is inf
+            p.gamma = gamma
+            stored = p.flat[-1]
+            above = float(np.nextafter(stored, np.float32(np.inf)))
+        assert stored.dtype == np.float32
+        assert float(stored) <= gamma < above
 
 
 class TestAdamStep:
