@@ -113,12 +113,6 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((values, g.col_idx, g.row_ptr), shape=(g.n, g.n))
 
 
-def float_array(x) -> np.ndarray:
-    """``x`` as an array in its own float dtype, or as float64 if it holds no floats."""
-    x = np.asarray(x)
-    return x if x.dtype.kind == "f" else x.astype(np.float64)
-
-
 def matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``a @ x`` into ``out`` and return it, bit for bit what ``a @ x`` gives.
 
@@ -145,11 +139,10 @@ def spmm(a: sp.spmatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.nda
     scipy's CSR kernel accumulates each row sequentially in stored order,
     which is ascending column index for the graph's matrices, so results
     are deterministic. The product goes into ``out`` when given and
-    otherwise into a new array of the operands' result dtype, float32 for
-    float32 operands; matmul_into checks the operands. An ``x`` without
-    floats is taken as float64.
+    otherwise into a new array of the operands' result dtype (float32 for
+    float32 operands; x is not converted); matmul_into checks the operands.
     """
-    x = float_array(x)
+    x = np.asarray(x)
     if out is None:
         out = np.empty(a.shape[:1] + x.shape[1:], dtype=np.result_type(a.dtype, x.dtype))
     return matmul_into(a, x, out)

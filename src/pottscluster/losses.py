@@ -10,8 +10,8 @@ which never materializes the dense null-model matrix d d^T / 2m. Lower is
 better; at gamma=1 and hard C this equals minus the modularity. The DMoN
 baseline fixes gamma at DMON_GAMMA = 1; the MinCut baseline optimizes the
 normalized-cut ratio with an orthogonality penalty instead of collapse
-regularization. Each gradient comes in C's float dtype, which the graph's
-``adj`` and ``float_degrees`` share in training.
+regularization. Each term computes in C's dtype, converting nothing, and
+the graph's ``adj`` and ``float_degrees`` share that dtype in training.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from math import sqrt
 
 import numpy as np
 
-from .graph import Graph, float_array, spmm
+from .graph import Graph, spmm
 
 __all__ = [
     "LossBreakdown",
@@ -60,7 +60,6 @@ def potts_loss(g: Graph, c: np.ndarray, gamma: float, out: np.ndarray | None = N
     """
     if g.m < 1:
         raise ValueError("Potts objective is undefined on an edgeless graph (m=0)")
-    c = float_array(c)
     ac = spmm(g.adj, c, out=out)
     trace = float(np.add.reduce(c * ac, axis=None))  # Tr(C^T A C)
     deg = g.float_degrees
@@ -82,7 +81,7 @@ def collapse_reg(c: np.ndarray):
     sqrt(n*k), as w_collapse does. Returns (value, dL/dC); every row of the
     gradient is the same, so it is returned as that one row, shape (1, k).
     """
-    c = float_array(c)
+    c = np.asarray(c)
     n, k = c.shape
     factor = sqrt(k) / n
     s = np.add.reduce(c, axis=0)
@@ -105,7 +104,7 @@ def mincut_loss(g: Graph, c: np.ndarray, out: np.ndarray | None = None):
     """Normalized-cut relaxation -Tr(C^T A C) / Tr(C^T D C); returns (value, dL/dC), ``out`` as in potts_loss."""
     if g.m < 1:
         raise ValueError("min-cut objective needs at least one edge")
-    c = float_array(c)
+    c = np.asarray(c)
     ac = spmm(g.adj, c, out=out)
     num = float(np.add.reduce(c * ac, axis=None))
     deg = g.float_degrees
@@ -123,7 +122,7 @@ def ortho_reg(c: np.ndarray):
 
     Returns (value, dL/dC).
     """
-    c = float_array(c)
+    c = np.asarray(c)
     k = c.shape[1]
     s = c.T @ c
     f = sqrt(float(np.vdot(s, s)))

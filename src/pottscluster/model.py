@@ -10,15 +10,15 @@ than a tape.
 Both passes write into a ForwardCache's buffers, so reusing one cache, as
 the trainer does, allocates nothing (n, h)-sized; every product is bit
 for bit what ``a @ b`` gives, so no float changes. Every function computes
-in its inputs' float dtype: float32 for the trainer's arrays, float64 for
-float64 ones.
+in the dtype of the arrays it is given, float32 for the trainer's and
+float64 for float64 ones, and converts none: integers are not promoted.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import float_array, matmul_into, spmm
+from .graph import matmul_into, spmm
 
 __all__ = [
     "SELU_LAMBDA",
@@ -102,7 +102,6 @@ def selu(x, out=None, scratch=None):
     ``out`` and ``scratch``, arrays of x's dtype shaped like x, take the
     result and an intermediate when given.
     """
-    x = float_array(x)
     # the other side adds +0 (or -0 to -0): the branch's value bit for bit, without np.where
     neg = np.expm1(np.minimum(x, 0.0, out=scratch), out=scratch)
     neg *= SELU_LAMBDA * SELU_ALPHA
@@ -114,7 +113,6 @@ def selu(x, out=None, scratch=None):
 
 def selu_grad(x, out=None, scratch=None):
     """Derivative of selu: lambda for x>0, lambda*alpha*e^x for x<=0; ``out``/``scratch`` as in selu."""
-    x = float_array(x)
     # at x > 0 the exponential is 1, and lambda*alpha + (lambda - lambda*alpha) is
     # lambda exactly in float64 for these constants (a test pins it), and one ulp
     # below it in float32; elsewhere it adds +0
@@ -127,9 +125,15 @@ def selu_grad(x, out=None, scratch=None):
 
 def softmax_rows(logits: np.ndarray, out=None, row=None) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's maximum; fills ``out`` and ``row`` (n, 1) if given."""
-    logits = float_array(logits)
-    row = np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
-    out = np.subtract(logits, row, out=out)
+    logits = np.asarray(logits)
+    (n, k), dtype = logits.shape, logits.dtype
+    out, row = np.empty((n, k), dtype) if out is None else out, np.empty((n, 1), dtype) if row is None else row
+    # numpy reduces a short last axis slowly, so the maximum runs down a (k, n) copy of logits.T, held in out
+    # until the subtraction overwrites it; a maximum is exact, and exp maps both results of a +0/-0 tie to 1
+    spare = np.empty((k, n), dtype) if np.may_share_memory(out, logits) else out.reshape(k, n)
+    spare[...] = logits.T
+    np.maximum.reduce(spare, axis=0, out=row[:, 0])
+    np.subtract(logits, row, out=out)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=1, keepdims=True, out=row)
     return out
@@ -173,7 +177,7 @@ def backward(cache: ForwardCache, d_c: np.ndarray, d_gamma: float) -> ModelParam
     next backward() on this cache overwrites. gamma does not enter the
     forward pass, so its gradient passes through.
     """
-    d_c = float_array(d_c)
+    d_c = np.asarray(d_c)
     if d_c.shape != cache.c.shape:
         raise ValueError(f"upstream gradient shape {d_c.shape} does not match C {cache.c.shape}")
     grad, h = cache.grad, cache.h_pre.shape[1]

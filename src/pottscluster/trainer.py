@@ -100,8 +100,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.gamma_max <= 0:
-            raise ValueError(f"gamma_max must be positive, got {self.gamma_max}")
+        if not 0 < self.gamma_max <= float(np.finfo(DTYPE).max):  # gamma is trained in DTYPE
+            raise ValueError(f"gamma_max must be positive and at most {float(np.finfo(DTYPE).max)},"
+                             f" the largest {np.dtype(DTYPE)}, got {self.gamma_max}")
         if not 0.0 <= self.gamma_init <= self.gamma_max:
             raise ValueError(
                 f"gamma_init must lie in [0, gamma_max={self.gamma_max}], got {self.gamma_init}"

@@ -854,6 +854,13 @@ class TestCliTrain:
         assert err.startswith("error: loss 'dmon' fixes gamma at 1.0") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_gamma_max_past_float32_exits_2_before_out_is_made(self, tmp_path, ring_dataset, capsys):
+        cfg, out = write_config(tmp_path, gamma_init=1e39, gamma_max=1e39, epochs=3), tmp_path / "o"
+        assert run_cli("train", "--data", str(ring_dataset), "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("error: gamma_max must be positive and at most 3.4028234663852886e+38,"
+                                           " the largest float32, got 1e+39\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_unusable_out_exits_2_before_training(self, tmp_path, ring_dataset, capsys,
                                                   monkeypatch, sub):

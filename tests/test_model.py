@@ -101,6 +101,36 @@ class TestSoftmaxRows:
         assert softmax_rows(logits, out=out, row=row) is out
         assert np.array_equal(out, softmax_rows(logits))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3, 16, 17])
+    @pytest.mark.parametrize("n", [1, 50, 2708])
+    def test_column_maximum_is_bit_equal_to_the_row_maximum(self, n, k, dtype):
+        # the maximum taken down a transposed copy against numpy's reduction along each row
+        def row_maximum_form(logits):
+            row = np.maximum.reduce(logits, axis=1, keepdims=True)
+            out = np.exp(np.subtract(logits, row))
+            out /= np.add.reduce(out, axis=1, keepdims=True, out=row)
+            return out
+
+        rng = np.random.default_rng(n * 100 + k)
+        logits = (rng.standard_normal((n, k)) * 30).astype(dtype)
+        special = rng.random((n, k)) < 0.2
+        logits[special] = rng.choice(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], dtype), special.sum())
+        logits[n // 2] = rng.choice(np.array([0.0, -0.0], dtype), k)  # a +0/-0 tie for the maximum
+        with np.errstate(invalid="ignore"):  # inf - inf in the rows holding an infinity
+            want = row_maximum_form(logits)
+            assert softmax_rows(logits).tobytes() == want.tobytes()
+            out, row = np.full((n, k), 9.0, dtype), np.full((n, 1), 9.0, dtype)
+            assert softmax_rows(logits, out=out, row=row) is out and out.tobytes() == want.tobytes()
+            same = logits.copy()
+            assert softmax_rows(same, out=same) is same and same.tobytes() == want.tobytes()
+        assert np.isfinite(want[np.isfinite(logits).all(axis=1)]).all()  # finite rows compare numbers, not NaNs
+
+    @pytest.mark.parametrize("logits", [[[1, 2], [3, 3]], [[True, False]]], ids=["int", "bool"])
+    def test_refuses_logits_that_are_not_floats(self, logits):
+        with pytest.raises(TypeError):  # numpy's UFuncTypeError for integers: exp cannot write them
+            softmax_rows(np.array(logits))
+
 
 def make_instance(seed, n=6, l=3, h=4, k=3, p=0.5):
     rng = np.random.default_rng(seed)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import (
+    objective_kw,
     reference_adam_step,
     reference_backward,
     reference_forward,
@@ -18,7 +20,9 @@ from oracles import (
 )
 from pottscluster import TrainConfig, TrainDivergedError, hard_assign, nmi, sbm, train, trainer
 from pottscluster.dataset import adjacency_features
-from pottscluster.model import ModelParams
+from pottscluster.graph import spmm
+from pottscluster.losses import LOSS_KINDS, collapse_reg, evaluate_objective, mincut_loss, ortho_reg, potts_loss
+from pottscluster.model import ModelParams, selu, selu_grad, softmax_rows
 from pottscluster.trainer import AdamState, FeatureDropout, adam_step, init_params, run_seeds
 
 
@@ -87,6 +91,20 @@ class TestTrainConfig:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    def test_gamma_max_must_fit_the_training_dtype(self):
+        # gamma is stored in the DTYPE vector, which cannot hold a larger ceiling
+        top = float(np.finfo(trainer.DTYPE).max)
+        with pytest.raises(ValueError, match=f"^gamma_max must be positive and at most {re.escape(str(top))},"
+                                             " the largest float32, got 1e\\+39$"):
+            TrainConfig(gamma_init=1e39, gamma_max=1e39)
+        with pytest.raises(ValueError, match="^gamma_max must be positive and at most"):
+            TrainConfig(gamma_max=float(np.nextafter(top, math.inf)))
+
+    def test_gamma_max_of_the_largest_float32_is_accepted(self):
+        top = float(np.finfo(np.float32).max)
+        cfg = TrainConfig(gamma_init=top, gamma_max=top)
+        assert init_params(2, cfg).gamma == top  # stored without an overflow warning, an error here
 
     def test_dmon_accepts_gamma_max_of_one(self):
         # dmon records gamma 1, which must lie inside the clamp [0, gamma_max]
@@ -637,6 +655,28 @@ def test_every_array_of_an_epoch_is_float32(monkeypatch, loss):
     trace = train(g, x, TrainConfig(seed=4, k=4, hidden=6, epochs=5, dropout_keep=0.5, loss=loss))
     assert len(seen) > 100 and set(seen) == {np.dtype(np.float32)}
     assert trace.final_params.flat.dtype == trace.final_assignment.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["spmm", "selu", "selu_grad", "softmax_rows", "potts_loss", "collapse_reg",
+                                  "mincut_loss", "ortho_reg", "evaluate_objective"])
+def test_numeric_functions_compute_in_the_dtype_given(name, dtype):
+    g, _ = small_csbm()
+    g = dataclasses.replace(g, adj=trainer._values_as(g.adj, dtype))  # as train converts the graph
+    x = np.random.default_rng(5).standard_normal((g.n, 4)).astype(dtype)
+    c = softmax_rows(x)
+    calls = {
+        "spmm": lambda: spmm(g.adj, x),
+        "selu": lambda: selu(x),
+        "selu_grad": lambda: selu_grad(x),
+        "softmax_rows": lambda: softmax_rows(x),
+        "potts_loss": lambda: potts_loss(g, c, 1.5),
+        "collapse_reg": lambda: collapse_reg(c),
+        "mincut_loss": lambda: mincut_loss(g, c),
+        "ortho_reg": lambda: ortho_reg(c),
+        "evaluate_objective": lambda: [evaluate_objective(g, c, 1.5, kind, **objective_kw()) for kind in LOSS_KINDS],
+    }
+    assert set(float_dtypes(calls[name]())) == {np.dtype(dtype)}
 
 
 def test_float32_gamma_stays_inside_its_bounds(k4_setup):
