@@ -91,7 +91,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                              f" on n={g.n} nodes with num_features={x.shape[1]}") from None
         raise
     for run in sweep.runs:
-        _log(f"seed {run.seed}: total={run.trace.records[-1].total:.6f} gamma={run.trace.gamma_final:.4f}")
+        _log(f"seed {run.seed}: total={run.trace.records[-1].total:.6f} gamma={run.trace.final_params.gamma:.4f}")
 
     base = sweep.runs[0]
     # one column per EpochRecord field; .17g prints the int epoch as its digits

@@ -337,7 +337,13 @@ def save_dataset(
 
 
 def one_hot_degree_features(g: Graph) -> np.ndarray:
-    """One-hot encode each node's degree; width is max degree + 1."""
+    """One-hot encode each node's degree; width is max degree + 1.
+
+    The result is a dense (n, max degree + 1) float64 array, so one hub
+    makes it O(n^2) in memory: a 2000-node star takes 32 MB. Its only user
+    is the benchmark's sbm-100k workload; the benchmark change planned in
+    ROADMAP.md moves it there as a sparse builder.
+    """
     degrees = g.degrees.astype(np.int64)
     width = int(degrees.max()) + 1 if g.n else 1
     x = np.zeros((g.n, width), dtype=np.float64)

@@ -151,10 +151,6 @@ class EpochRecord:
     gamma_reg: float
     gamma: float
 
-    @classmethod
-    def of(cls, epoch: int, loss: LossBreakdown, gamma: float) -> "EpochRecord":
-        return cls(epoch, loss.total, loss.potts, loss.collapse, loss.gamma_reg, gamma)
-
 
 @dataclass(frozen=True)
 class RunTrace:
@@ -163,10 +159,6 @@ class RunTrace:
     records: list[EpochRecord]
     final_params: ModelParams
     final_assignment: np.ndarray  # eval-mode soft assignment, shape (n, k)
-
-    @property
-    def gamma_final(self) -> float:
-        return self.final_params.gamma
 
 
 @dataclass
@@ -241,6 +233,9 @@ class FeatureDropout:
     Each draw takes one uniform per stored entry, in storage order, from
     ``default_rng(seed)`` and keeps, times 1/keep, the entries whose uniform
     is below ``keep``. At ``keep == 1.0`` nothing is drawn and ``dropped`` equals x.
+    Until the first draw, ``dropped`` holds x's arrays and ``dropped_t`` is
+    its transpose, and building the object consumes no uniform: ``train``'s
+    epoch 0 reads that state, so record 0 scores x itself.
 
     ``dropped`` stores only the kept entries. That changes no float of the
     feature products: a dropped entry would only add ``+0 * w`` to scipy's
@@ -282,11 +277,11 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
 
     ``x`` is dense or scipy sparse; training works on a DTYPE CSR copy,
     so the caller's matrix is never modified, and a value past DTYPE's
-    range becomes +-inf there and diverges. Record 0 holds the eval-mode
-    loss of the freshly initialized model. Record e (1-based) holds the
-    training-mode loss the optimizer saw at epoch e, together with gamma as
-    it stands after that epoch's update, so the trace has epochs + 1
-    records.
+    range becomes +-inf there and diverges. Record 0 is the loop's epoch 0:
+    the eval-mode loss of the fresh model on x, before any dropout draw,
+    and no step. Record e (1-based) holds the training-mode loss the
+    optimizer saw at epoch e, with gamma as it stands after that epoch's
+    update, so the trace has epochs + 1 records.
     """
     x = feature_matrix(x, g.n)
     abar = normalized_adjacency(g)
@@ -298,23 +293,19 @@ def train(g: Graph, x: np.ndarray | sp.spmatrix, config: TrainConfig) -> RunTrac
         params = init_params(x.shape[1], config)
         state = AdamState.zeros(params)
         dropout = FeatureDropout(x, config.dropout_keep, [config.seed, 1])
-
-        c, cache = forward(abar, x, params)
         objective_kw = {key: getattr(config, key) for key in ("w_collapse", "w_gamma", "gamma_max")}
-        objective_kw["out"] = np.empty_like(c)
-        first, _, _ = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
-        records = [EpochRecord.of(0, first, params.gamma)]
-        if not math.isfinite(first.total):
-            raise TrainDivergedError(0, first)
-
-        for epoch in range(1, config.epochs + 1):
-            c, cache = forward(abar, dropout.draw(), params, dropout.dropped_t, cache)
-            breakdown, d_c, d_gamma = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
-            if not math.isfinite(breakdown.total):
-                raise TrainDivergedError(epoch, breakdown)
-            grads = backward(cache, d_c, d_gamma)
-            adam_step(params, grads, state, config.learning_rate, config.gamma_max)
-            records.append(EpochRecord.of(epoch, breakdown, params.gamma))
+        objective_kw["out"] = np.empty((g.n, config.k), DTYPE)
+        records, cache = [], None
+        for epoch in range(config.epochs + 1):
+            if epoch:  # epoch 0 reads x itself, which dropout holds until its first draw
+                dropout.draw()
+            c, cache = forward(abar, dropout.dropped, params, dropout.dropped_t, cache)
+            loss, d_c, d_gamma = evaluate_objective(g, c, params.gamma, config.loss, **objective_kw)
+            if not math.isfinite(loss.total):
+                raise TrainDivergedError(epoch, loss)
+            if epoch:
+                adam_step(params, backward(cache, d_c, d_gamma), state, config.learning_rate, config.gamma_max)
+            records.append(EpochRecord(epoch, loss.total, loss.potts, loss.collapse, loss.gamma_reg, params.gamma))
 
         c_final, _ = forward(abar, x, params, cache=cache)  # the cache ends here: C can be the result
         if not np.isfinite(c_final).all():  # the last Adam step can overflow it with no objective after it
@@ -334,7 +325,7 @@ class SeedRun:
         """The seed's row of scalars, in the order metrics.json lists them."""
         return {
             "seed": self.seed,
-            "gamma_final": self.trace.gamma_final,
+            "gamma_final": self.trace.final_params.gamma,
             "total": self.trace.records[-1].total,
             **dataclasses.asdict(self.report),
         }

@@ -324,6 +324,18 @@ class TestFeatureDropout:
             assert dropped.nnz < x.nnz
         assert np.array_equal(x.toarray(), dense)
 
+    @pytest.mark.parametrize("keep", [0.5, 1.0])
+    def test_before_the_first_draw_dropped_is_x(self, keep):
+        # train's epoch 0 forwards this state, so record 0 scores x itself
+        x = sp.random(30, 40, density=0.1, format="csr", random_state=np.random.default_rng(0))
+        x.data = np.random.default_rng(1).standard_normal(x.nnz)
+        dropout = FeatureDropout(x, keep, 2)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(dropout.dropped, name), getattr(x, name))
+        assert np.array_equal(dropout.dropped_t.toarray(), x.toarray().T)
+        # building the object consumed no uniform: the first draw is the stream's first mask
+        assert np.array_equal(dropout.draw().toarray(), zero_masked(x, keep, np.random.default_rng(2)))
+
     def test_deterministic_per_seed(self):
         x = sp.random(20, 30, density=0.2, format="csr", random_state=np.random.default_rng(0))
         a, b, c = (FeatureDropout(x, 0.5, seed) for seed in ([4, 1], [4, 1], [5, 1]))
